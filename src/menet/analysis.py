@@ -3,7 +3,8 @@ multiply-accumulate / parameter accounting.
 
 Connectivity reports use exact rationals so the closed-form and brute-force
 paths can be compared without tolerance. Cost accounting walks a built
-network symbolically (no forward pass) under a swappable counting policy.
+network symbolically (no forward pass), asking each layer for its output
+shape and MACs; the policy switches conv and fully-connected MACs on or off.
 """
 
 from dataclasses import dataclass, field
@@ -11,18 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .layers import (
-    AvgPool3x3s2,
-    BatchNorm2d,
-    ChannelShuffle,
-    Conv2d,
-    GlobalAvgPool,
-    Linear,
-    MaxPool3x3s2,
-    ReLU,
-    Sigmoid,
-    conv_out_size,
-)
+from .layers import ChannelShuffle, Conv2d, Linear
 from .me_module import MEModule
 from .network import Network
 
@@ -38,10 +28,6 @@ class ConnectivityReport:
     n_total: Fraction
     n_actual: Fraction
     lost_ratio: Fraction
-
-    def as_floats(self):
-        return (float(self.n_total), float(self.n_actual),
-                float(self.lost_ratio))
 
 
 def _check_cg(channels, groups):
@@ -142,26 +128,6 @@ def shuffle_pattern(channels, groups):
     return m
 
 
-def layer_dependency(layer, in_channels=None):
-    """Channel-dependency matrix of one layer; BN/activations are
-    channel-wise identities."""
-    if isinstance(layer, Conv2d):
-        if layer.depthwise:
-            return np.eye(layer.in_channels, dtype=bool)
-        return grouped_conv_pattern(layer.in_channels, layer.out_channels,
-                                    layer.groups)
-    if isinstance(layer, ChannelShuffle):
-        if in_channels is None:
-            raise ValueError("shuffle pattern needs in_channels")
-        return shuffle_pattern(in_channels, layer.groups)
-    if isinstance(layer, (BatchNorm2d, ReLU, Sigmoid, MaxPool3x3s2,
-                          AvgPool3x3s2, GlobalAvgPool)):
-        if in_channels is None:
-            raise ValueError("channel-wise layer pattern needs in_channels")
-        return np.eye(in_channels, dtype=bool)
-    raise TypeError(f"no dependency rule for {type(layer).__name__}")
-
-
 def compose(*patterns):
     """Compose dependency matrices, first-applied first."""
     out = patterns[0]
@@ -241,9 +207,6 @@ class CostPolicy:
     name: str = "conv-fc-macs"
     count_conv: bool = True
     count_fc: bool = True
-    count_bn: bool = False
-    count_pool: bool = False
-    count_activation: bool = False
 
 
 DEFAULT_POLICY = CostPolicy()
@@ -271,93 +234,17 @@ class CostReport:
         return sum(e.params for e in self.entries)
 
 
-def _conv_entry(name, layer: Conv2d, c, h, w, policy):
-    oh = conv_out_size(h, layer.kernel, layer.stride, layer.pad)
-    ow = conv_out_size(w, layer.kernel, layer.stride, layer.pad)
-    macs = (oh * ow * layer.kernel * layer.kernel
-            * (layer.in_channels // layer.groups) * layer.out_channels)
-    params = layer.params["weight"].size
-    if "bias" in layer.params:
-        params += layer.params["bias"].size
-    if not policy.count_conv:
-        macs = 0
-    return CostEntry(name, (layer.out_channels, oh, ow), macs, params), \
-        (layer.out_channels, oh, ow)
-
-
-def _module_entries(name, module: MEModule, c, h, w, policy):
-    """Sub-layer cost entries with branch-aware resolutions: pw1 and the
-    merging tap run at the input resolution; the evolution 3x3, depthwise
-    and second pointwise run at the (possibly halved) output resolution."""
-    cfg = module.cfg
-    b = cfg.bottleneck_channels
-    f = cfg.fusion_channels
-    ds = cfg.downsample
-    oh = conv_out_size(h, 3, 2, 1) if ds else h
-    ow = conv_out_size(w, 3, 2, 1) if ds else w
-    named = module.named_layers()
-    plan = [
-        ("pw1", (c, h, w)), ("bn1", (b, h, w)),
-        ("merge.conv", (b, h, w)), ("merge.bn", (f, h, w)),
-        ("evo.conv_e", (f, h, w)), ("evo.bn_e", (f, oh, ow)),
-        ("evo.conv_m", (f, oh, ow)), ("evo.bn_m", (b, oh, ow)),
-        ("dw", (b, h, w)), ("bn_dw", (b, oh, ow)),
-        ("pw2", (b, oh, ow)),
-        ("bn2", (cfg.residual_out_channels, oh, ow)),
-    ]
-    entries = []
-    for ln, in_shape in plan:
-        layer = named[ln]
-        if isinstance(layer, Conv2d):
-            e, _ = _conv_entry(f"{name}/{ln}", layer, *in_shape, policy)
-            entries.append(e)
-        else:
-            macs = 2 * np.prod(in_shape) if policy.count_bn else 0
-            entries.append(CostEntry(f"{name}/{ln}", in_shape, int(macs),
-                                     2 * layer.channels))
-    return entries, (cfg.out_channels, oh, ow)
-
-
 def count_cost(net: Network, input_shape=None, input_size=None,
                policy=DEFAULT_POLICY) -> CostReport:
     """Per-layer MAC and parameter counts via symbolic shape propagation."""
     if input_shape is None:
         size = input_size if input_size is not None else net.input_size
         input_shape = (net.in_channels, size, size)
-    c, h, w = input_shape
     report = CostReport(policy=policy)
-    for name, item in net:
-        if isinstance(item, Conv2d):
-            entry, (c, h, w) = _conv_entry(name, item, c, h, w, policy)
-            report.entries.append(entry)
-        elif isinstance(item, MEModule):
-            # dataflow inside the module needs the pre-module shape but its
-            # branches diverge; handled by _module_entries
-            entries, (c, h, w) = _module_entries(name, item, c, h, w, policy)
-            report.entries.extend(entries)
-        elif isinstance(item, BatchNorm2d):
-            macs = 2 * c * h * w if policy.count_bn else 0
-            report.entries.append(CostEntry(name, (c, h, w), macs,
-                                            2 * item.channels))
-        elif isinstance(item, (MaxPool3x3s2, AvgPool3x3s2)):
-            h = conv_out_size(h, 3, 2, 1)
-            w = conv_out_size(w, 3, 2, 1)
-            macs = 9 * c * h * w if policy.count_pool else 0
-            report.entries.append(CostEntry(name, (c, h, w), macs, 0))
-        elif isinstance(item, GlobalAvgPool):
-            macs = c * h * w if policy.count_pool else 0
-            h = w = 1
-            report.entries.append(CostEntry(name, (c, 1, 1), macs, 0))
-        elif isinstance(item, Linear):
-            macs = item.in_features * item.out_features if policy.count_fc else 0
-            params = item.params["weight"].size + item.params["bias"].size
-            c = item.out_features
-            report.entries.append(CostEntry(name, (c, 1, 1), macs, params))
-        elif isinstance(item, (ReLU, Sigmoid)):
-            macs = c * h * w if policy.count_activation else 0
-            report.entries.append(CostEntry(name, (c, h, w), macs, 0))
-        elif isinstance(item, ChannelShuffle):
-            report.entries.append(CostEntry(name, (c, h, w), 0, 0))
-        else:
-            raise TypeError(f"no cost rule for {type(item).__name__}")
+    for name, layer, shape in net.layer_shapes(tuple(input_shape)):
+        counted = policy.count_fc if isinstance(layer, Linear) \
+            else policy.count_conv
+        report.entries.append(CostEntry(
+            name, layer.out_shape(shape), layer.macs(shape) if counted else 0,
+            sum(p.size for p in layer.params.values())))
     return report

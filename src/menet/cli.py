@@ -36,18 +36,18 @@ def load_config(path):
 
 
 def _merged_settings(args):
-    """File values first, then non-None CLI flags on top."""
+    """Preset values first, then file values, then non-None CLI flags."""
     settings = {}
     if getattr(args, "config", None):
         settings.update(load_config(args.config))
-    if settings.get("preset"):
-        base = dict(training.PRESETS[settings["preset"]])
-        base.update({k: v for k, v in settings.items() if k != "preset"})
-        settings = base
     for key in CONFIG_KEYS:
         val = getattr(args, key, None)
         if val is not None:
             settings[key] = val
+    if settings.get("preset"):
+        base = dict(training.PRESETS[settings["preset"]])
+        base.update({k: v for k, v in settings.items() if k != "preset"})
+        settings = base
     return settings
 
 
@@ -63,8 +63,9 @@ def _net_config(settings):
 
 
 def cmd_build(args):
-    cfg = _net_config(_merged_settings(args)).validate()
-    net = builder.build_menet(cfg, seed=_merged_settings(args).get("seed", 0))
+    settings = _merged_settings(args)
+    cfg = _net_config(settings).validate()
+    net = builder.build_menet(cfg, seed=settings.get("seed", 0))
     rows, totals = builder.summarize(net)
     print(f"model {cfg.notation()} (g={cfg.groups}) validated: "
           f"{sum(cfg.stage_repeats)} modules")
@@ -136,7 +137,7 @@ def cmd_make_synth(args):
     return 0
 
 
-def _desk_net(settings, data):
+def _desk_net(settings):
     cfg = _net_config(settings)
     return builder.build_menet(cfg, seed=settings.get("seed", 0))
 
@@ -148,7 +149,7 @@ def cmd_train(args):
     data = serialization.load_dataset(settings["dataset"])
     settings.setdefault("num_classes", data.class_count)
     settings.setdefault("input_size", data.images.shape[2])
-    net = _desk_net(settings, data)
+    net = _desk_net(settings)
     sched = training.Schedule(
         base_lr=settings.get("base_lr", 0.1),
         step_epochs=settings.get("step_epochs", 30),
@@ -188,7 +189,7 @@ def cmd_eval(args):
     data = serialization.load_dataset(settings["dataset"])
     settings.setdefault("num_classes", data.class_count)
     settings.setdefault("input_size", data.images.shape[2])
-    net = _desk_net(settings, data)
+    net = _desk_net(settings)
     serialization.load_weights(net, args.weights)
     acc = training.evaluate(net, data)
     print(f"accuracy {acc:.4f}")
@@ -278,7 +279,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as e:
+    except (ValueError, KeyError, OSError, TypeError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

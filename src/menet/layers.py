@@ -28,6 +28,14 @@ class Layer:
     def backward(self, grad_out):
         raise NotImplementedError
 
+    def out_shape(self, shape):
+        """(c, h, w) of the output for a (c, h, w) input."""
+        return shape
+
+    def macs(self, shape):
+        """Multiply-accumulates of one forward pass on a (c, h, w) input."""
+        return 0
+
     def zero_grad(self):
         for k, v in self.params.items():
             self.grads[k] = np.zeros_like(v)
@@ -46,6 +54,12 @@ class Layer:
 
 def conv_out_size(size, k, stride, pad):
     return (size + 2 * pad - k) // stride + 1
+
+
+def _pooled_shape(shape):
+    """Output shape of a 3x3, stride-2, pad-1 pooling window."""
+    c, h, w = shape
+    return (c, conv_out_size(h, 3, 2, 1), conv_out_size(w, 3, 2, 1))
 
 
 class Conv2d(Layer):
@@ -91,6 +105,17 @@ class Conv2d(Layer):
         self._register("weight", w)
         if bias:
             self._register("bias", np.zeros(out_channels))
+
+    def out_shape(self, shape):
+        _, h, w = shape
+        return (self.out_channels,
+                conv_out_size(h, self.kernel, self.stride, self.pad),
+                conv_out_size(w, self.kernel, self.stride, self.pad))
+
+    def macs(self, shape):
+        _, oh, ow = self.out_shape(shape)
+        return (oh * ow * self.kernel * self.kernel
+                * (self.in_channels // self.groups) * self.out_channels)
 
     def forward(self, x, train=False):
         check_nchw(x)
@@ -301,11 +326,13 @@ class ChannelShuffle(Layer):
 class MaxPool3x3s2(Layer):
     """3x3 max pooling, stride 2, pad 1 (halves spatial dims, ceil)."""
 
+    def out_shape(self, shape):
+        return _pooled_shape(shape)
+
     def forward(self, x, train=False):
         check_nchw(x)
-        n, c, h, w = x.shape
-        oh = conv_out_size(h, 3, 2, 1)
-        ow = conv_out_size(w, 3, 2, 1)
+        n, c = x.shape[:2]
+        _, oh, ow = self.out_shape(x.shape[1:])
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)),
                     constant_values=-np.inf)
         out = np.full((n, c, oh, ow), -np.inf)
@@ -335,11 +362,13 @@ class MaxPool3x3s2(Layer):
 class AvgPool3x3s2(Layer):
     """3x3 average pooling, stride 2, pad 1; padded taps count (divide by 9)."""
 
+    def out_shape(self, shape):
+        return _pooled_shape(shape)
+
     def forward(self, x, train=False):
         check_nchw(x)
-        n, c, h, w = x.shape
-        oh = conv_out_size(h, 3, 2, 1)
-        ow = conv_out_size(w, 3, 2, 1)
+        n, c = x.shape[:2]
+        _, oh, ow = self.out_shape(x.shape[1:])
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
         out = np.zeros((n, c, oh, ow))
         for ky in range(3):
@@ -359,6 +388,9 @@ class AvgPool3x3s2(Layer):
 
 
 class GlobalAvgPool(Layer):
+    def out_shape(self, shape):
+        return (shape[0], 1, 1)
+
     def forward(self, x, train=False):
         check_nchw(x)
         self._cache = x.shape
@@ -384,6 +416,13 @@ class Linear(Layer):
         self._register("weight", w)
         self._register("bias", np.zeros(out_features))
 
+    def out_shape(self, shape):
+        """Logits as a (k, 1, 1) map, though forward returns (n, k)."""
+        return (self.out_features, 1, 1)
+
+    def macs(self, shape):
+        return self.in_features * self.out_features
+
     def forward(self, x, train=False):
         check_nchw(x)
         if x.shape[2:] != (1, 1):
@@ -402,12 +441,3 @@ class Linear(Layer):
         self.grads["bias"] += grad_out.sum(axis=0)
         grad_flat = grad_out @ self.params["weight"]
         return grad_flat[:, :, None, None]
-
-
-def activation(x, kind):
-    """Stateless activation helper (relu or sigmoid)."""
-    if kind == "relu":
-        return np.where(x > 0, x, 0.0)
-    if kind == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-x))
-    raise ValueError(f"unknown activation {kind!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, concat_channels, elementwise_combine
+from .tensor import concat_channels, elementwise_combine
 from .layers import (
     AvgPool3x3s2,
     BatchNorm2d,
@@ -97,17 +97,11 @@ class MergingOp:
             raise ValueError(
                 f"fusion width must be in [1, {in_channels}], got {fusion_channels}"
             )
-        self.in_channels = in_channels
-        self.fusion_channels = fusion_channels
         self.conv = Conv2d(in_channels, fusion_channels, 1, rng=rng)
         self.bn = BatchNorm2d(fusion_channels, mode=bn_mode)
         self.relu = ReLU()
 
     def forward(self, x, train=False):
-        if x.shape[1] != self.in_channels:
-            raise ShapeError(
-                f"merging expects {self.in_channels} channels, got {x.shape[1]}"
-            )
         return self.relu.forward(
             self.bn.forward(self.conv.forward(x, train), train), train)
 
@@ -128,9 +122,6 @@ class EvolutionOp:
 
     def __init__(self, fusion_channels, match_channels, stride=1,
                  combine_mode="product", rng=None, bn_mode="train"):
-        self.fusion_channels = fusion_channels
-        self.match_channels = match_channels
-        self.combine_mode = combine_mode
         self.conv_e = Conv2d(fusion_channels, fusion_channels, 3, stride=stride,
                              pad=1, rng=rng)
         self.bn_e = BatchNorm2d(fusion_channels, mode=bn_mode)
@@ -140,10 +131,6 @@ class EvolutionOp:
         self.sigmoid = Sigmoid() if combine_mode == "product" else None
 
     def forward(self, z, train=False):
-        if z.shape[1] != self.fusion_channels:
-            raise ShapeError(
-                f"evolution expects {self.fusion_channels} channels, got {z.shape[1]}"
-            )
         ze = self.relu_e.forward(
             self.bn_e.forward(self.conv_e.forward(z, train), train), train)
         zm = self.bn_m.forward(self.conv_m.forward(ze, train), train)
@@ -207,6 +194,29 @@ class MEModule:
             out[f"evo.{k}"] = v
         return out
 
+    def layer_shapes(self, shape):
+        """Rows of (name, layer, input shape) for every named layer in
+        dataflow order, and the module's output shape, for a (c, h, w)
+        input. No forward pass runs; ReLUs, the shuffle and the sigmoid
+        keep the shape."""
+        rows = []
+
+        def chain(prefix, layers, s):
+            for name, layer in layers.items():
+                rows.append((prefix + name, layer, s))
+                s = layer.out_shape(s)
+            return s
+
+        s = chain("", {"pw1": self.pw1, "bn1": self.bn1}, shape)
+        chain("evo.", self.evolution.layers(),
+              chain("merge.", self.merging.layers(), s))
+        res = chain("", {"dw": self.dw, "bn_dw": self.bn_dw,
+                         "pw2": self.pw2, "bn2": self.bn2}, s)
+        if not self.cfg.downsample:
+            return rows, res
+        ident = self.identity_pool.out_shape(shape)
+        return rows, (ident[0] + res[0],) + res[1:]
+
     @property
     def params(self):
         return {f"{ln}.{pn}": p
@@ -225,10 +235,6 @@ class MEModule:
 
     def forward(self, x, train=False):
         cfg = self.cfg
-        if x.shape[1] != cfg.in_channels:
-            raise ShapeError(
-                f"module expects {cfg.in_channels} channels, got {x.shape[1]}"
-            )
         r = self.relu1.forward(
             self.bn1.forward(self.pw1.forward(x, train), train), train)
         s = self.shuffle.forward(r, train)

@@ -1,6 +1,6 @@
 """Ordered layer-graph container shared by the builder, trainer and CLI."""
 
-from .layers import BatchNorm2d, Layer
+from .layers import BatchNorm2d
 from .me_module import MEModule
 
 
@@ -46,32 +46,21 @@ class Network:
     def param_dict(self):
         return dict(self.named_params())
 
-    def set_param(self, name, value):
-        item_name, _, rest = self._split(name)
-        item = dict(self.items)[item_name]
-        if isinstance(item, MEModule):
-            layer_name, _, pn = rest.rpartition(".")
-            item.named_layers()[layer_name].params[pn][...] = value
-        else:
-            item.params[rest][...] = value
-
-    def _split(self, name):
-        for item_name, _ in self.items:
-            prefix = item_name + "."
-            if name.startswith(prefix):
-                return item_name, None, name[len(prefix):]
-        raise KeyError(name)
-
     def zero_grad(self):
         for _, item in self.items:
             item.zero_grad()
 
-    def set_bn_mode(self, mode):
-        for _, item in self.items:
-            if isinstance(item, BatchNorm2d):
-                item.mode = mode
-            elif isinstance(item, MEModule):
-                item.set_bn_mode(mode)
+    def layer_shapes(self, shape):
+        """Yield (name, layer, input shape) for every layer, a module's
+        named layers as ``<module>/<layer>``, from a (c, h, w) input."""
+        for name, item in self.items:
+            if isinstance(item, MEModule):
+                rows, shape = item.layer_shapes(shape)
+                for ln, layer, in_shape in rows:
+                    yield f"{name}/{ln}", layer, in_shape
+            else:
+                yield name, item, shape
+                shape = item.out_shape(shape)
 
     def batchnorms(self):
         for name, item in self.items:

@@ -66,6 +66,12 @@ def load_weights(net: Network, base):
     np_dtype = np.dtype(_DTYPES[manifest["dtype"]])
     blob = base.with_suffix(".bin").read_bytes()
     targets = dict(_archive_entries(net))
+    archived = {entry["name"] for entry in manifest["params"]}
+    missing = [name for name in targets if name not in archived]
+    if missing:
+        raise ValueError(
+            f"archive lacks {len(missing)} of the network's {len(targets)} "
+            f"arrays, first {missing[0]!r}")
     seen = []
     for entry in manifest["params"]:
         name = entry["name"]

@@ -13,26 +13,11 @@ class ShapeError(ValueError):
     """Raised when tensor shapes violate an operation's contract."""
 
 
-def as_tensor(data, shape=None):
-    """Coerce to a float64 (n, c, h, w) array, validating the layout."""
-    x = np.asarray(data, dtype=np.float64)
-    if shape is not None:
-        x = x.reshape(shape)
-    check_nchw(x)
-    return x
-
-
 def check_nchw(x):
     if x.ndim != 4:
         raise ShapeError(f"expected 4-D (n, c, h, w) array, got ndim={x.ndim}")
     if any(d < 1 for d in x.shape):
         raise ShapeError(f"all dimensions must be >= 1, got {x.shape}")
-
-
-def check_finite(x):
-    if not np.all(np.isfinite(x)):
-        raise FloatingPointError("tensor contains NaN or Inf")
-    return x
 
 
 def elementwise_combine(a, b, mode):

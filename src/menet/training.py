@@ -107,14 +107,21 @@ class Dataset:
     class_count: int
 
     def __post_init__(self):
+        if self.class_count > 256:
+            raise ValueError(
+                f"class_count {self.class_count} does not fit u8 labels "
+                "(at most 256)")
         self.images = np.asarray(self.images, dtype=np.uint8)
-        self.labels = np.asarray(self.labels, dtype=np.uint8)
-        if self.images.ndim != 4 or len(self.labels) != len(self.images):
+        labels = np.asarray(self.labels)
+        if self.images.ndim != 4 or len(labels) != len(self.images):
             raise ValueError("images must be (count, c, h, w) with matching labels")
         if len(self.images) == 0:
             raise ValueError("dataset is empty")
-        if self.labels.max() >= self.class_count:
-            raise ValueError("label exceeds class_count")
+        if labels.min() < 0 or labels.max() >= self.class_count:
+            raise ValueError(
+                f"labels must lie in [0, {self.class_count}), got "
+                f"[{labels.min()}, {labels.max()}]")
+        self.labels = labels.astype(np.uint8)
 
     def __len__(self):
         return len(self.images)
@@ -129,7 +136,7 @@ def make_synthetic_dataset(count=64, size=8, channels=3, classes=2, seed=0):
     rng = np.random.default_rng(seed)
     images = rng.integers(0, 60, size=(count, channels, size, size),
                           dtype=np.uint8)
-    labels = (np.arange(count) % classes).astype(np.uint8)
+    labels = np.arange(count) % classes
     band = max(1, size // classes)
     for i, lab in enumerate(labels):
         x0 = int(lab) * band

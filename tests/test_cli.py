@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from menet.cli import load_config, main
+from menet.cli import _merged_settings, build_parser, load_config, main
 
 
 def run(capsys, *argv):
@@ -113,6 +113,23 @@ class TestConfigFile:
         code, out, _ = run(capsys, "build", "--config", str(p))
         assert code == 0 and "g=3" in out
 
+    def test_preset_flag_expands(self):
+        args = build_parser().parse_args(["train", "--preset", "paper"])
+        assert _merged_settings(args)["batch_size"] == 256
+
+    def test_flag_overrides_preset(self):
+        args = build_parser().parse_args(
+            ["train", "--preset", "paper", "--epochs", "2"])
+        settings = _merged_settings(args)
+        assert settings["epochs"] == 2 and settings["batch_size"] == 256
+
+    def test_mistyped_value_is_error(self, capsys, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"model": "228-MENet-12x1", "groups": "3"}))
+        code, out, err = run(capsys, "flops", "--config", str(p))
+        assert code == 2
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
 
 class TestTrainEvalRoundtrip:
     def test_full_pipeline(self, capsys, tmp_path):
@@ -154,6 +171,26 @@ class TestTrainEvalRoundtrip:
         _, a, _ = run(capsys, *flags)
         _, b, _ = run(capsys, *flags)
         assert a == b
+
+    def test_eval_rejects_partial_archive(self, capsys, tmp_path):
+        data = tmp_path / "synth"
+        run(capsys, "make-synth", "--out", str(data), "--count", "8")
+        model_flags = ["--model", "8-MENet-1x1", "--groups", "2",
+                       "--stage-repeats", "1", "1", "1",
+                       "--stem-channels", "4", "--no-stem-pool"]
+        weights = tmp_path / "weights"
+        code, _, _ = run(capsys, "train", *model_flags, "--dataset",
+                         str(data), "--epochs", "1", "--batch-size", "8",
+                         "--weights-out", str(weights))
+        assert code == 0
+        manifest_path = weights.with_suffix(".json")
+        manifest = json.loads(manifest_path.read_text())
+        manifest["params"] = manifest["params"][:3]
+        manifest_path.write_text(json.dumps(manifest))
+        code, out, err = run(capsys, "eval", *model_flags, "--dataset",
+                             str(data), "--weights", str(weights))
+        assert code == 2 and "accuracy" not in out
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_missing_dataset_is_error(self, capsys):
         code, _, err = run(capsys, "train", "--model", "8-MENet-1x1",

@@ -261,3 +261,42 @@ def test_backward_without_forward_rejected():
     conv = Conv2d(2, 2, 1)
     with pytest.raises(RuntimeError):
         conv.backward(np.zeros((1, 2, 2, 2)))
+
+
+# (kind, layer factory taking the stride); kinds without a stride argument
+# get stride None
+SHAPE_CASES = [
+    ("pw_grouped", 1, lambda s: Conv2d(4, 6, 1, stride=s, groups=2)),
+    ("pw_grouped", 2, lambda s: Conv2d(4, 6, 1, stride=s, groups=2)),
+    ("conv3x3", 1, lambda s: Conv2d(4, 5, 3, stride=s, pad=1)),
+    ("conv3x3", 2, lambda s: Conv2d(4, 5, 3, stride=s, pad=1)),
+    ("depthwise", 1, lambda s: Conv2d(4, 4, 3, stride=s, pad=1, groups=4,
+                                      depthwise=True)),
+    ("depthwise", 2, lambda s: Conv2d(4, 4, 3, stride=s, pad=1, groups=4,
+                                      depthwise=True)),
+    ("bn", None, lambda s: BatchNorm2d(4)),
+    ("relu", None, lambda s: ReLU()),
+    ("sigmoid", None, lambda s: Sigmoid()),
+    ("shuffle", None, lambda s: ChannelShuffle(2)),
+    ("maxpool", None, lambda s: MaxPool3x3s2()),
+    ("avgpool", None, lambda s: AvgPool3x3s2()),
+    ("gap", None, lambda s: GlobalAvgPool()),
+    ("linear", None, lambda s: Linear(4, 3)),
+]
+
+
+@pytest.mark.parametrize("size", [5, 6])
+@pytest.mark.parametrize("kind,stride,make", SHAPE_CASES,
+                         ids=[f"{k}-s{s}" for k, s, _ in SHAPE_CASES])
+def test_out_shape_and_macs_match_forward(kind, stride, make, size):
+    layer = make(stride)
+    shape = (4, 1, 1) if kind == "linear" else (4, size, size)
+    out = layer.forward(np.random.default_rng(size).normal(size=(2, *shape)))
+    if kind == "linear":
+        # the classifier's (n, k) logits are a (k, 1, 1) map to the protocol
+        out = out[:, :, None, None]
+    assert layer.out_shape(shape) == out.shape[1:]
+    # one multiply-accumulate per weight of an output element's fan-in
+    w = layer.params.get("weight")
+    expected = 0 if w is None else out[0].size * w[0].size
+    assert layer.macs(shape) == expected

@@ -165,3 +165,23 @@ class TestParamsSurface:
         assert any(np.abs(g).sum() > 0 for g in module.grads.values())
         module.zero_grad()
         assert all(np.abs(g).sum() == 0 for g in module.grads.values())
+
+
+@pytest.mark.parametrize("combine_mode", ["product", "addition"])
+@pytest.mark.parametrize("downsample", [False, True])
+def test_layer_shapes_match_forward(combine_mode, downsample):
+    cfg = MEModuleConfig(8, 16 if downsample else 8, 2, 2,
+                         downsample=downsample, combine_mode=combine_mode)
+    module = make(cfg)
+    seen = {}
+    for name, layer in module.named_layers().items():
+        def recording(x, train=False, name=name, forward=layer.forward):
+            seen[name] = x.shape[1:]
+            return forward(x, train)
+        layer.forward = recording
+    x = np.random.default_rng(10).normal(size=(2, 8, 7, 7))
+    out = module.forward(x, train=True)
+    rows, out_shape = module.layer_shapes(x.shape[1:])
+    assert {name: shape for name, _, shape in rows} == seen
+    assert len(rows) == len(seen)
+    assert out_shape == out.shape[1:]

@@ -87,6 +87,19 @@ class TestWeightArchive:
         with pytest.raises(ValueError, match="shape mismatch"):
             load_weights(other, tmp_path / "w")
 
+    def test_partial_archive_rejected(self, tmp_path):
+        net = tiny_net()
+        save_weights(net, tmp_path / "w")
+        manifest = json.loads((tmp_path / "w.json").read_text())
+        total = len(manifest["params"])
+        first_missing = manifest["params"][3]["name"]
+        manifest["params"] = manifest["params"][:3]
+        (tmp_path / "w.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=(
+                f"lacks {total - 3} of .* {total} arrays, "
+                f"first '{first_missing}'")):
+            load_weights(tiny_net(), tmp_path / "w")
+
     def test_unknown_dtype_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             save_weights(tiny_net(), tmp_path / "w", dtype="float16")

@@ -6,6 +6,7 @@ import pytest
 from menet.builder import MENetConfig, build_menet
 from menet.training import (
     SGD,
+    Dataset,
     Schedule,
     cross_entropy,
     evaluate,
@@ -155,6 +156,16 @@ class TestSyntheticData:
         b = make_synthetic_dataset(seed=3)
         assert np.array_equal(a.images, b.images)
         assert np.array_equal(a.labels, b.labels)
+
+    def test_more_classes_than_u8_labels_rejected(self):
+        with pytest.raises(ValueError, match="class_count 300"):
+            make_synthetic_dataset(count=4, classes=300)
+        with pytest.raises(ValueError, match="class_count 300"):
+            Dataset(np.zeros((300, 1, 2, 2)), np.arange(300), 300)
+
+    def test_labels_checked_before_u8_cast(self):
+        with pytest.raises(ValueError, match=r"\[0, 2\)"):
+            Dataset(np.zeros((2, 1, 2, 2)), [0, 256], 2)
 
     def test_classes_are_separable_by_band_position(self):
         data = make_synthetic_dataset(count=32, size=8, classes=2, seed=4)
