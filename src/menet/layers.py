@@ -4,9 +4,18 @@ Each layer caches whatever the backward pass needs during forward. Backward
 returns the gradient w.r.t. the input and accumulates parameter gradients
 into ``self.grads`` (same keys as ``self.params``).
 
-Convolution is computed with a shifted-window loop whose per-element
-accumulation order is (input channel, ky, kx); the naive reference in the
-test suite uses the same order so results are bit-identical.
+Convolution is a shifted-window loop over (input channel within group,
+ky, kx) that works on all groups at once, through (n, groups, per-group,
+h, w) views: one depthwise layer is 9 loop steps, not 9 per channel. Each
+output element still adds its products in (input channel, ky, kx) order,
+as the naive reference in the test suite does, so the forward is
+bit-identical to it; each input-gradient element adds its taps in the same
+order. The weight gradient reproduces the rounding of numpy's
+einsum("nohw,nhw->o") taken group by group, the kernel this one replaced
+(see ``conv2d_backward_raw``). The test suite keeps that per-group kernel
+as a frozen reference and checks the forward and both gradients against it
+with ``np.array_equal``, so a numpy whose einsum sums in another order
+fails there rather than shifting results silently.
 """
 
 import numpy as np
@@ -142,54 +151,92 @@ class Conv2d(Layer):
         return grad_x
 
 
+# Buffer size of the iterator behind np.einsum (fixed at numpy's default;
+# np.setbufsize does not reach it).
+_EINSUM_BUFSIZE = 8192
+
+
+def _rows_join(a):
+    """True when numpy iterates the last two axes of ``a`` as one run."""
+    h, w = a.shape[-2:]
+    return h == 1 or w == 1 or a.strides[-2] == w * a.strides[-1]
+
+
 def conv2d_raw(x, w, stride, pad, groups):
     n, cin, h, wd = x.shape
     cout, cpg, k, _ = w.shape
     oh = conv_out_size(h, k, stride, pad)
     ow = conv_out_size(wd, k, stride, pad)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    out = np.zeros((n, cout, oh, ow))
     opg = cout // groups
-    for g in range(groups):
-        osl = slice(g * opg, (g + 1) * opg)
-        for ci in range(cpg):
-            xc = xp[:, g * cpg + ci]
-            for ky in range(k):
-                for kx in range(k):
-                    win = xc[:, ky:ky + stride * oh:stride,
-                              kx:kx + stride * ow:stride]
-                    out[:, osl] += win[:, None] * w[osl, ci, ky, kx][None, :, None, None]
-    return out
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    xg = xp.reshape(n, groups, cpg, *xp.shape[2:])
+    wg = w.reshape(groups, opg, cpg, k, k)
+    out = np.zeros((n, groups, opg, oh, ow))
+    prod = np.empty_like(out)
+    for ci in range(cpg):
+        for ky in range(k):
+            for kx in range(k):
+                win = xg[:, :, ci, ky:ky + stride * oh:stride,
+                         kx:kx + stride * ow:stride]
+                np.multiply(win[:, :, None],
+                            wg[None, :, :, ci, ky, kx, None, None], out=prod)
+                out += prod
+    return out.reshape(n, cout, oh, ow)
 
 
 def conv2d_backward_raw(x, w, grad_out, stride, pad, groups):
     n, cin, h, wd = x.shape
     cout, cpg, k, _ = w.shape
     oh, ow = grad_out.shape[2:]
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    gxp = np.zeros_like(xp)
-    gw = np.zeros_like(w)
     opg = cout // groups
-    for g in range(groups):
-        osl = slice(g * opg, (g + 1) * opg)
-        go = grad_out[:, osl]
-        for ci in range(cpg):
-            xc = xp[:, g * cpg + ci]
-            gxc = gxp[:, g * cpg + ci]
-            for ky in range(k):
-                for kx in range(k):
-                    hsl = slice(ky, ky + stride * oh, stride)
-                    wsl = slice(kx, kx + stride * ow, stride)
-                    win = xc[:, hsl, wsl]
-                    gw[osl, ci, ky, kx] += np.einsum("nohw,nhw->o", go, win)
-                    gxc[:, hsl, wsl] += np.einsum(
-                        "nohw,o->nhw", go, w[osl, ci, ky, kx]
-                    )
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    xg = xp.reshape(n, groups, cpg, *xp.shape[2:])
+    gxg = np.zeros_like(xg)
+    wg = w.reshape(groups, opg, cpg, k, k)
+    gw = np.zeros_like(wg)
+    go = grad_out.reshape(n, groups, opg, oh, ow)
+    gx_tap = np.empty((n, groups, oh, ow))
+    # grad_w has to round as the per-group einsum("nohw,nhw->o") did. numpy
+    # sums each contiguous run of that reduction (one image when the rows of
+    # both operands join, else one output row) and adds the run sums to the
+    # output in order. One einsum over all groups keeps that order, except
+    # when a group has one output channel or the batch one image: then one
+    # einsum takes the run sums and np.add.accumulate adds them in order.
+    # einsum's iterator splits a run longer than its buffer in a way not
+    # modelled here, so such maps run the per-group einsum itself.
+    win0 = xg[:, :, 0, :stride * oh:stride, :stride * ow:stride]
+    rows_join = _rows_join(go) and _rows_join(win0)
+    if (oh * ow if rows_join else ow) > _EINSUM_BUFSIZE:
+        runs = None
+    elif groups == 1 or (opg > 1 and n > 1):
+        runs = ""
+    else:
+        runs = "n" if rows_join else "nh"
+    for ci in range(cpg):
+        for ky in range(k):
+            for kx in range(k):
+                hsl = slice(ky, ky + stride * oh, stride)
+                wsl = slice(kx, kx + stride * ow, stride)
+                win = xg[:, :, ci, hsl, wsl]
+                if runs is None:
+                    for g in range(groups):
+                        gw[g, :, ci, ky, kx] += np.einsum(
+                            "nohw,nhw->o", go[:, g], win[:, g])
+                else:
+                    sums = np.einsum(f"ngohw,nghw->go{runs}", go, win)
+                    if runs:
+                        sums = np.add.accumulate(
+                            sums.reshape(groups, opg, -1), axis=-1)[..., -1]
+                    gw[:, :, ci, ky, kx] += sums
+                np.einsum("ngohw,go->nghw", go, wg[:, :, ci, ky, kx],
+                          out=gx_tap)
+                gxg[:, :, ci, hsl, wsl] += gx_tap
+    gxp = gxg.reshape(xp.shape)
     if pad:
         grad_x = gxp[:, :, pad:-pad, pad:-pad]
     else:
         grad_x = gxp
-    return grad_x, gw
+    return grad_x, gw.reshape(w.shape)
 
 
 class BatchNorm2d(Layer):

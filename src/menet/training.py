@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .layers import BatchNorm2d
 from .network import Network
 
 PRESETS = {
@@ -100,6 +101,13 @@ class SGD:
 # data
 # ---------------------------------------------------------------------------
 
+def _check_class_count(classes):
+    """Labels are stored as u8, so at most 256 classes."""
+    if classes > 256:
+        raise ValueError(
+            f"class_count {classes} does not fit u8 labels (at most 256)")
+
+
 @dataclass
 class Dataset:
     images: np.ndarray  # u8, (count, c, h, w)
@@ -107,10 +115,7 @@ class Dataset:
     class_count: int
 
     def __post_init__(self):
-        if self.class_count > 256:
-            raise ValueError(
-                f"class_count {self.class_count} does not fit u8 labels "
-                "(at most 256)")
+        _check_class_count(self.class_count)
         self.images = np.asarray(self.images, dtype=np.uint8)
         labels = np.asarray(self.labels)
         if self.images.ndim != 4 or len(labels) != len(self.images):
@@ -132,7 +137,13 @@ class Dataset:
 
 def make_synthetic_dataset(count=64, size=8, channels=3, classes=2, seed=0):
     """Linearly separable toy set: each class lights up its own vertical
-    band, plus mild noise."""
+    band, plus mild noise. Every class needs a band at least one pixel
+    wide, so ``classes`` may not exceed ``size``."""
+    _check_class_count(classes)
+    if classes > size:
+        raise ValueError(
+            f"{classes} classes need images at least {classes} px wide "
+            f"(one band column per class), got size {size}")
     rng = np.random.default_rng(seed)
     images = rng.integers(0, 60, size=(count, channels, size, size),
                           dtype=np.uint8)
@@ -159,6 +170,7 @@ def train_loop(net: Network, data: Dataset, sched: Schedule, opt: SGD,
         raise ValueError(
             f"dataset has {x_all.shape[1]} channels, network expects "
             f"{net.in_channels}")
+    _check_smallest_batch(net, x_all.shape[1:], len(data), batch_size)
     y_all = data.labels.astype(int)
     rng = np.random.default_rng(seed)
     history = []
@@ -188,6 +200,20 @@ def train_loop(net: Network, data: Dataset, sched: Schedule, opt: SGD,
             log(f"epoch {record[0]} lr {record[1]:.6g} "
                 f"loss {record[2]:.6f} acc {record[3]:.4f}")
     return history
+
+
+def _check_smallest_batch(net, shape, count, batch_size):
+    """Reject, before any step, a split into batches whose smallest batch
+    leaves some train-mode batch norm fewer than 2 values per channel."""
+    smallest = count % batch_size or batch_size
+    for name, layer, (_, h, w) in net.layer_shapes(shape):
+        if (isinstance(layer, BatchNorm2d) and layer.mode == "train"
+                and smallest * h * w < 2):
+            raise ValueError(
+                f"{count} samples at batch size {batch_size} leave a last "
+                f"batch of {smallest}, which gives batch norm {name} "
+                f"{smallest * h * w} value per channel (needs at least 2); "
+                "change the batch size or the sample count")
 
 
 def evaluate(net: Network, data: Dataset, batch_size=64):

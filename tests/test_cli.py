@@ -192,6 +192,26 @@ class TestTrainEvalRoundtrip:
         assert code == 2 and "accuracy" not in out
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    def test_last_batch_too_small_is_one_error_line(self, capsys, tmp_path):
+        data = tmp_path / "synth"
+        run(capsys, "make-synth", "--out", str(data), "--count", "33")
+        code, out, err = run(capsys, "train", "--model", "8-MENet-1x1",
+                             "--groups", "2", "--stage-repeats", "1", "1",
+                             "1", "--stem-channels", "4", "--no-stem-pool",
+                             "--dataset", str(data), "--epochs", "1",
+                             "--batch-size", "16")
+        assert code == 2 and "epoch" not in out
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "33 samples at batch size 16 leave a last batch of 1" in err
+
+    def test_make_synth_more_classes_than_pixels_is_error(self, capsys,
+                                                         tmp_path):
+        code, out, err = run(capsys, "make-synth", "--out",
+                             str(tmp_path / "synth"), "--count", "40",
+                             "--size", "8", "--classes", "10")
+        assert code == 2 and "wrote" not in out
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_missing_dataset_is_error(self, capsys):
         code, _, err = run(capsys, "train", "--model", "8-MENet-1x1",
                            "--groups", "2")

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from menet import layers
+from menet.builder import MENetConfig, build_menet
 from menet.layers import (
     AvgPool3x3s2,
     BatchNorm2d,
@@ -12,8 +14,10 @@ from menet.layers import (
     MaxPool3x3s2,
     ReLU,
     Sigmoid,
+    conv2d_backward_raw,
     conv2d_raw,
 )
+from menet.me_module import MEModule, MEModuleConfig
 from menet.tensor import ShapeError
 
 
@@ -40,6 +44,119 @@ def naive_conv(x, w, stride, pad, groups):
                                         * w[o, ci, ky, kx])
                     out[b, o, i, j] = acc
     return out
+
+
+def per_group_conv(x, w, stride, pad, groups):
+    """The per-group shifted-window forward conv2d_raw used to run, frozen:
+    one broadcast multiply-add per (group, in-channel, tap)."""
+    n, cin, h, wd = x.shape
+    cout, cpg, k, _ = w.shape
+    oh = (h + 2 * pad - k) // stride + 1
+    ow = (wd + 2 * pad - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    out = np.zeros((n, cout, oh, ow))
+    opg = cout // groups
+    for g in range(groups):
+        osl = slice(g * opg, (g + 1) * opg)
+        for ci in range(cpg):
+            xc = xp[:, g * cpg + ci]
+            for ky in range(k):
+                for kx in range(k):
+                    win = xc[:, ky:ky + stride * oh:stride,
+                              kx:kx + stride * ow:stride]
+                    out[:, osl] += win[:, None] * w[osl, ci, ky, kx][None, :, None, None]
+    return out
+
+
+def per_group_conv_backward(x, w, grad_out, stride, pad, groups):
+    """The per-group backward conv2d_backward_raw used to run, frozen: two
+    einsum calls per (group, in-channel, tap). Its grad_w rounding is
+    numpy's einsum reduction order, so a numpy that changes that order
+    fails the bit-identity tests below instead of drifting silently."""
+    n, cin, h, wd = x.shape
+    cout, cpg, k, _ = w.shape
+    oh, ow = grad_out.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    opg = cout // groups
+    for g in range(groups):
+        osl = slice(g * opg, (g + 1) * opg)
+        go = grad_out[:, osl]
+        for ci in range(cpg):
+            xc = xp[:, g * cpg + ci]
+            gxc = gxp[:, g * cpg + ci]
+            for ky in range(k):
+                for kx in range(k):
+                    hsl = slice(ky, ky + stride * oh, stride)
+                    wsl = slice(kx, kx + stride * ow, stride)
+                    win = xc[:, hsl, wsl]
+                    gw[osl, ci, ky, kx] += np.einsum("nohw,nhw->o", go, win)
+                    gxc[:, hsl, wsl] += np.einsum(
+                        "nohw,o->nhw", go, w[osl, ci, ky, kx]
+                    )
+    if pad:
+        grad_x = gxp[:, :, pad:-pad, pad:-pad]
+    else:
+        grad_x = gxp
+    return grad_x, gw
+
+
+def assert_matches_per_group(x, w, grad_out, stride, pad, groups):
+    case = f"x{x.shape} w{w.shape} stride {stride} groups {groups}"
+    out = conv2d_raw(x, w, stride, pad, groups)
+    assert np.array_equal(out, per_group_conv(x, w, stride, pad, groups)), case
+    grad_x, grad_w = conv2d_backward_raw(x, w, grad_out, stride, pad, groups)
+    ref_x, ref_w = per_group_conv_backward(x, w, grad_out, stride, pad, groups)
+    assert np.array_equal(grad_x, ref_x), f"grad_x, {case}"
+    assert np.array_equal(grad_w, ref_w), f"grad_w, {case}"
+
+
+def random_conv_case(rng, n, cin, cout, k, stride, groups, h, wd):
+    """(x, w, grad_out, pad) with standard-normal entries."""
+    pad = 1 if k == 3 else 0
+    oh = (h + 2 * pad - k) // stride + 1
+    ow = (wd + 2 * pad - k) // stride + 1
+    return (rng.normal(size=(n, cin, h, wd)),
+            rng.normal(size=(cout, cin // groups, k, k)),
+            rng.normal(size=(n, cout, oh, ow)), pad)
+
+
+def desk_config():
+    """The README's desk training run: 8-MENet-1x1, g=2, 8 px, 2 classes."""
+    return MENetConfig.from_notation(
+        "8-MENet-1x1", groups=2, stage_repeats=[1, 1, 1], stem_channels=4,
+        stem_pool=False, num_classes=2, input_size=8)
+
+
+def gradcheck_tiny_modules():
+    """The four MEModule variants of the gradcheck-tiny benchmark."""
+    return [MEModule(MEModuleConfig(cin, 8, 2, 2, downsample=cin == 4,
+                                    combine_mode=mode))
+            for mode in ("product", "addition") for cin in (8, 4)]
+
+
+def conv_configs(source, size=32):
+    """Distinct (cin, cout, k, stride, groups, h, w) of every Conv2d the
+    source's ``layer_shapes`` yields; reference models at ``size`` px,
+    gradcheck-tiny modules at 5 px."""
+    if source == "gradcheck-tiny":
+        walks = [module.layer_shapes((module.cfg.in_channels, 5, 5))[0]
+                 for module in gradcheck_tiny_modules()]
+    else:
+        if source == "desk":
+            cfg = desk_config()
+        else:
+            notation, groups = source.split("/g")
+            cfg = MENetConfig.from_notation(notation, groups=int(groups),
+                                            num_classes=10,
+                                            input_size=size)
+        walks = [build_menet(cfg).layer_shapes((3, cfg.input_size,
+                                                cfg.input_size))]
+    return sorted({(layer.in_channels, layer.out_channels, layer.kernel,
+                    layer.stride, layer.groups, h, w)
+                   for walk in walks for _, layer, (_, h, w) in walk
+                   if isinstance(layer, Conv2d)})
 
 
 class TestConv2d:
@@ -84,6 +201,93 @@ class TestConv2d:
         fast = conv2d_raw(x, w, stride, pad, groups)
         ref = naive_conv(x, w, stride, pad, groups)
         assert np.array_equal(fast, ref)
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("cin,cout,k,stride,groups", [
+        (3, 5, 3, 1, 1),
+        (4, 6, 3, 2, 2),
+        (6, 6, 1, 1, 3),
+        (4, 4, 3, 1, 4),
+        (6, 6, 3, 1, 3),      # grouped 3x3, stride 1
+    ])
+    def test_bit_identical_to_per_group_kernels(self, cin, cout, k, stride,
+                                                groups, batch):
+        rng = np.random.default_rng(3)
+        x, w, grad_out, pad = random_conv_case(rng, batch, cin, cout, k,
+                                               stride, groups, 6, 6)
+        assert_matches_per_group(x, w, grad_out, stride, pad, groups)
+
+    @pytest.mark.parametrize("batch", [1, 2, 16])
+    @pytest.mark.parametrize("source", [
+        "228-MENet-12x1/g3", "256-MENet-12x1/g4", "352-MENet-12x1/g8",
+        "desk", "gradcheck-tiny",
+    ])
+    def test_model_convs_bit_identical_to_per_group_kernels(self, source,
+                                                            batch):
+        rng = np.random.default_rng(4)
+        configs = conv_configs(source)
+        assert configs
+        for cin, cout, k, stride, groups, h, wd in configs:
+            x, w, grad_out, pad = random_conv_case(rng, batch, cin, cout, k,
+                                                   stride, groups, h, wd)
+            assert_matches_per_group(x, w, grad_out, stride, pad, groups)
+
+    def test_224_px_convs_bit_identical_to_per_group_kernels(self):
+        # the paper's mobile setting: 228-MENet-12x1, g=3, 224 px, batch 1
+        rng = np.random.default_rng(4)
+        for cin, cout, k, stride, groups, h, wd in conv_configs(
+                "228-MENet-12x1/g3", size=224):
+            x, w, grad_out, pad = random_conv_case(rng, 1, cin, cout, k,
+                                                   stride, groups, h, wd)
+            assert_matches_per_group(x, w, grad_out, stride, pad, groups)
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("cin,cout,k,stride,groups", [
+        (4, 4, 1, 1, 4), (4, 8, 1, 1, 2), (4, 4, 3, 1, 4), (4, 8, 1, 2, 2),
+    ])
+    def test_strided_views_bit_identical_to_per_group_kernels(
+            self, cin, cout, k, stride, groups, batch):
+        # a channel slice of x and a cropped grad_out, as module backward
+        # passes hand them on; the rows of the cropped view do not join
+        rng = np.random.default_rng(5)
+        pad = 1 if k == 3 else 0
+        oh = (7 + 2 * pad - k) // stride + 1
+        x = rng.normal(size=(batch, 2 * cin, 7, 7))[:, cin:]
+        w = rng.normal(size=(cout, cin // groups, k, k))
+        framed = rng.normal(size=(batch, cout, oh + 2, oh + 2))
+        assert_matches_per_group(x, w, framed[:, :, 1:-1, 1:-1], stride, pad,
+                                 groups)
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("cout,groups", [(4, 4), (8, 2)])
+    def test_maps_past_einsum_buffer_bit_identical(self, cout, groups, batch):
+        # 92 x 92 = 8464 pixels: one image's reduction outgrows einsum's
+        # 8192-element iterator buffer
+        rng = np.random.default_rng(6)
+        x, w, grad_out, pad = random_conv_case(rng, batch, 4, cout, 1, 1,
+                                               groups, 92, 92)
+        assert_matches_per_group(x, w, grad_out, 1, pad, groups)
+
+    def test_network_step_bit_identical_to_per_group_kernels(self,
+                                                             monkeypatch):
+        # the layouts a real forward and backward hand to the kernels
+        def step():
+            net = build_menet(desk_config(), seed=0)
+            x = np.random.default_rng(7).normal(size=(4, 3, 8, 8))
+            net.zero_grad()
+            logits = net.forward(x, train=True)
+            grad_x = net.backward(np.ones_like(logits) / logits.size)
+            return logits, grad_x, dict(net.named_grads())
+
+        logits, grad_x, grads = step()
+        with monkeypatch.context() as m:
+            m.setattr(layers, "conv2d_raw", per_group_conv)
+            m.setattr(layers, "conv2d_backward_raw", per_group_conv_backward)
+            ref_logits, ref_grad_x, ref_grads = step()
+        assert np.array_equal(logits, ref_logits)
+        assert np.array_equal(grad_x, ref_grad_x)
+        for name, g in grads.items():
+            assert np.array_equal(g, ref_grads[name]), name
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

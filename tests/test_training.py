@@ -163,6 +163,15 @@ class TestSyntheticData:
         with pytest.raises(ValueError, match="class_count 300"):
             Dataset(np.zeros((300, 1, 2, 2)), np.arange(300), 300)
 
+    def test_more_classes_than_pixels_rejected(self):
+        # a class past the last pixel column would get no band at all
+        with pytest.raises(ValueError, match="10 classes need images at "
+                                             "least 10 px wide"):
+            make_synthetic_dataset(count=40, size=8, classes=10)
+        data = make_synthetic_dataset(count=40, size=10, classes=10)
+        for label in range(10):
+            assert data.images[data.labels == label].max() >= 180
+
     def test_labels_checked_before_u8_cast(self):
         with pytest.raises(ValueError, match=r"\[0, 2\)"):
             Dataset(np.zeros((2, 1, 2, 2)), [0, 256], 2)
@@ -210,3 +219,28 @@ class TestTrainLoop:
         sched = Schedule(total_epochs=30)
         with pytest.raises(ValueError):
             train_loop(net, data, sched, SGD(), epochs=1)
+
+    def test_last_batch_too_small_for_batch_norm_rejected_up_front(self):
+        # the tiny net's last batch norms see 1x1 maps, so a last batch of
+        # one sample would give them one value per channel
+        net = build_menet(tiny_config(), seed=1)
+        before = {k: v.copy() for k, v in net.named_params()}
+        data = make_synthetic_dataset(count=33, size=8, classes=2, seed=0)
+        sched = Schedule(base_lr=0.05, step_epochs=30, total_epochs=30)
+        with pytest.raises(ValueError, match="33 samples at batch size 16 "
+                                             "leave a last batch of 1"):
+            train_loop(net, data, sched, SGD(lr=0.05), epochs=1,
+                       batch_size=16)
+        for name, p in net.named_params():
+            assert np.array_equal(p, before[name]), name
+        with pytest.raises(ValueError, match="last batch of 1"):
+            train_loop(net, data, sched, SGD(lr=0.05), epochs=1,
+                       batch_size=1)
+
+    def test_last_batch_of_two_trains(self):
+        net = build_menet(tiny_config(), seed=1)
+        data = make_synthetic_dataset(count=18, size=8, classes=2, seed=0)
+        sched = Schedule(base_lr=0.05, step_epochs=30, total_epochs=30)
+        history = train_loop(net, data, sched, SGD(lr=0.05), epochs=1,
+                             batch_size=16)
+        assert np.isfinite(history[0][2])
