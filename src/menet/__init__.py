@@ -4,7 +4,7 @@ desk-scale training harness. Pure numpy, double precision, hand-written
 backward passes throughout.
 """
 
-from .tensor import concat_channels, elementwise_combine, slice_channels
+from .tensor import concat_channels, elementwise_combine
 from .layers import (
     AvgPool3x3s2,
     BatchNorm2d,
@@ -27,7 +27,6 @@ from .builder import (
 )
 from .analysis import (
     ConnectivityReport,
-    CostPolicy,
     CostReport,
     connectivity_bruteforce,
     connectivity_formula,

@@ -4,7 +4,9 @@ multiply-accumulate / parameter accounting.
 Connectivity reports use exact rationals so the closed-form and brute-force
 paths can be compared without tolerance. Cost accounting walks a built
 network symbolically (no forward pass), asking each layer for its output
-shape and MACs; the policy switches conv and fully-connected MACs on or off.
+shape and MACs. Only convolutions and the fully-connected head have MACs
+(the "conv-fc-macs" policy, 1 MAC = 1 FLOP); batch norm, pooling,
+activations and the shuffle count as free.
 """
 
 from dataclasses import dataclass, field
@@ -12,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .layers import ChannelShuffle, Conv2d, Linear
+from .layers import ChannelShuffle, Conv2d
 from .me_module import MEModule
 from .network import Network
 
@@ -201,17 +203,6 @@ def perturbation_pattern(module: MEModule, include_fusion=True, spatial=4,
 # cost accounting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CostPolicy:
-    """Which layer kinds contribute to the MAC total; 1 MAC = 1 FLOP."""
-    name: str = "conv-fc-macs"
-    count_conv: bool = True
-    count_fc: bool = True
-
-
-DEFAULT_POLICY = CostPolicy()
-
-
 @dataclass
 class CostEntry:
     name: str
@@ -222,7 +213,6 @@ class CostEntry:
 
 @dataclass
 class CostReport:
-    policy: CostPolicy
     entries: list = field(default_factory=list)
 
     @property
@@ -234,17 +224,14 @@ class CostReport:
         return sum(e.params for e in self.entries)
 
 
-def count_cost(net: Network, input_shape=None, input_size=None,
-               policy=DEFAULT_POLICY) -> CostReport:
-    """Per-layer MAC and parameter counts via symbolic shape propagation."""
+def count_cost(net: Network, input_shape=None) -> CostReport:
+    """Per-layer MAC and parameter counts via symbolic shape propagation,
+    for a (c, h, w) input (default: the network's own input size)."""
     if input_shape is None:
-        size = input_size if input_size is not None else net.input_size
-        input_shape = (net.in_channels, size, size)
-    report = CostReport(policy=policy)
+        input_shape = (net.in_channels, net.input_size, net.input_size)
+    report = CostReport()
     for name, layer, shape in net.layer_shapes(tuple(input_shape)):
-        counted = policy.count_fc if isinstance(layer, Linear) \
-            else policy.count_conv
         report.entries.append(CostEntry(
-            name, layer.out_shape(shape), layer.macs(shape) if counted else 0,
+            name, layer.out_shape(shape), layer.macs(shape),
             sum(p.size for p in layer.params.values())))
     return report

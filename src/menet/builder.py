@@ -9,7 +9,7 @@ fusion width of stage i is round(alpha^(i-2) * k), floored at 1.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -140,10 +140,10 @@ def build_menet(cfg: MENetConfig, seed=0) -> Network:
     items.append(("pool", GlobalAvgPool()))
     items.append(("fc", Linear(final_width, cfg.num_classes, rng=rng)))
     return Network(items, in_channels=3, input_size=cfg.input_size,
-                   num_classes=cfg.num_classes, config=cfg)
+                   num_classes=cfg.num_classes)
 
 
-def summarize(net: Network, input_size=None):
+def summarize(net: Network):
     """Per-layer table of (name, output shape, params, MACs) plus totals.
 
     Returns (rows, totals) where each row is a dict; totals come from the
@@ -151,12 +151,8 @@ def summarize(net: Network, input_size=None):
     """
     from .analysis import count_cost
 
-    report = count_cost(net, input_size=input_size)
-    rows = [
-        {"name": e.name, "output_shape": e.output_shape, "params": e.params,
-         "macs": e.macs}
-        for e in report.entries
-    ]
+    report = count_cost(net)
+    rows = [asdict(e) for e in report.entries]
     totals = {"params": report.total_params, "macs": report.total_macs}
     return rows, totals
 

@@ -75,15 +75,13 @@ def cmd_build(args):
 
 def cmd_flops(args):
     settings = _merged_settings(args)
-    cfg = _net_config(settings)
-    net = builder.build_menet(cfg, seed=0)
-    report = analysis.count_cost(net)
+    net = builder.build_menet(_net_config(settings), seed=0)
+    rows, totals = builder.summarize(net)
     if args.per_layer:
-        rows, totals = builder.summarize(net)
         print(builder.format_summary(rows, totals))
-    print(f"total_macs {report.total_macs}")
-    print(f"total_params {report.total_params}")
-    print(f"policy {report.policy.name}")
+    print(f"total_macs {totals['macs']}")
+    print(f"total_params {totals['params']}")
+    print("policy conv-fc-macs")
     return 0
 
 

@@ -488,3 +488,56 @@ class Linear(Layer):
         self.grads["bias"] += grad_out.sum(axis=0)
         grad_flat = grad_out @ self.params["weight"]
         return grad_flat[:, :, None, None]
+
+
+class Composite:
+    """A unit built from named layers. Its parameters, gradients and batch
+    norms are all read through ``named_layers()`` and keep its order."""
+
+    def prefixed_layers(self, prefix):
+        return {f"{prefix}.{name}": layer
+                for name, layer in self.named_layers().items()}
+
+    def _per_layer(self, attr):
+        return {f"{ln}.{key}": value
+                for ln, layer in self.named_layers().items()
+                for key, value in getattr(layer, attr).items()}
+
+    params = property(lambda self: self._per_layer("params"))
+    grads = property(lambda self: self._per_layer("grads"))
+
+    def zero_grad(self):
+        for layer in self.named_layers().values():
+            layer.zero_grad()
+
+    def batchnorms(self):
+        for name, layer in self.named_layers().items():
+            if isinstance(layer, BatchNorm2d):
+                yield name, layer
+
+
+class Chain(Composite):
+    """Runs ``steps``, (name, layer or composite) pairs, in order forward
+    and in reverse backward. Its named layers are the steps that hold
+    parameters and, under the step name, a composite step's own."""
+
+    steps = ()
+
+    def named_layers(self):
+        out = {}
+        for name, step in self.steps:
+            if isinstance(step, Composite):
+                out.update(step.prefixed_layers(name))
+            elif step.params:
+                out[name] = step
+        return out
+
+    def forward(self, x, train=False):
+        for _, step in self.steps:
+            x = step.forward(x, train)
+        return x
+
+    def backward(self, grad_out):
+        for _, step in reversed(self.steps):
+            grad_out = step.backward(grad_out)
+        return grad_out

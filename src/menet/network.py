@@ -1,10 +1,10 @@
 """Ordered layer-graph container shared by the builder, trainer and CLI."""
 
-from .layers import BatchNorm2d
+from .layers import Chain
 from .me_module import MEModule
 
 
-class Network:
+class Network(Chain):
     """A named, ordered sequence of layers and modules.
 
     Forward feeds each item's output into the next; backward runs the chain
@@ -12,43 +12,27 @@ class Network:
     sub-layer prefix).
     """
 
-    def __init__(self, items, in_channels, input_size, num_classes, config=None):
+    def __init__(self, items, in_channels, input_size, num_classes):
         self.items = list(items)
         self.in_channels = in_channels
         self.input_size = input_size
         self.num_classes = num_classes
-        self.config = config
 
     def __iter__(self):
         return iter(self.items)
 
-    def forward(self, x, train=False):
-        for _, item in self.items:
-            x = item.forward(x, train)
-        return x
-
-    def backward(self, grad_out):
-        g = grad_out
-        for _, item in reversed(self.items):
-            g = item.backward(g)
-        return g
+    @property
+    def steps(self):
+        return self.items
 
     def named_params(self):
-        for name, item in self.items:
-            for pn, p in item.params.items():
-                yield f"{name}.{pn}", p
+        return self.params.items()
 
     def named_grads(self):
-        for name, item in self.items:
-            for pn, g in item.grads.items():
-                yield f"{name}.{pn}", g
+        return self.grads.items()
 
     def param_dict(self):
-        return dict(self.named_params())
-
-    def zero_grad(self):
-        for _, item in self.items:
-            item.zero_grad()
+        return self.params
 
     def layer_shapes(self, shape):
         """Yield (name, layer, input shape) for every layer, a module's
@@ -61,12 +45,3 @@ class Network:
             else:
                 yield name, item, shape
                 shape = item.out_shape(shape)
-
-    def batchnorms(self):
-        for name, item in self.items:
-            if isinstance(item, BatchNorm2d):
-                yield name, item
-            elif isinstance(item, MEModule):
-                for ln, layer in item.named_layers().items():
-                    if isinstance(layer, BatchNorm2d):
-                        yield f"{name}.{ln}", layer

@@ -58,11 +58,15 @@ def save_weights(net: Network, base, dtype="float64"):
 
 
 def load_weights(net: Network, base):
-    """Load an archive into ``net``, verifying layout and checksums."""
+    """Load an archive into ``net``, verifying layout and checksums; every
+    entry is checked before any array is written."""
     base = Path(base)
     manifest = json.loads(base.with_suffix(".json").read_text())
     if manifest.get("format") != "menet-weights":
         raise ValueError("not a weight archive manifest")
+    if manifest.get("dtype") not in _DTYPES:
+        raise ValueError(f"unknown archive dtype {manifest.get('dtype')!r}, "
+                         f"expected one of {sorted(_DTYPES)}")
     np_dtype = np.dtype(_DTYPES[manifest["dtype"]])
     blob = base.with_suffix(".bin").read_bytes()
     targets = dict(_archive_entries(net))
@@ -72,28 +76,33 @@ def load_weights(net: Network, base):
         raise ValueError(
             f"archive lacks {len(missing)} of the network's {len(targets)} "
             f"arrays, first {missing[0]!r}")
-    seen = []
+    loaded = []
     for entry in manifest["params"]:
         name = entry["name"]
         if name not in targets:
             raise KeyError(f"archive parameter {name!r} not in network")
-        raw = blob[entry["offset"]:entry["offset"] + entry["nbytes"]]
+        start, stop = entry["offset"], entry["offset"] + entry["nbytes"]
+        if start < 0:
+            raise ValueError(f"negative offset {start} for {name}")
+        raw = blob[start:stop]
         if len(raw) != entry["nbytes"]:
             raise ValueError(f"blob truncated at {name}")
         if zlib.crc32(raw) != entry["crc32"]:
             raise ValueError(f"checksum mismatch for {name}")
-        arr = np.frombuffer(raw, dtype=np_dtype).reshape(entry["shape"])
         target = targets[name]
-        if tuple(entry["shape"]) != target.shape:
+        if (tuple(entry["shape"]) != target.shape
+                or len(raw) != target.size * np_dtype.itemsize):
             raise ValueError(
-                f"shape mismatch for {name}: archive {entry['shape']} vs "
-                f"network {list(target.shape)}")
-        target[...] = arr.astype(np.float64)
-        seen.append((entry["offset"], entry["offset"] + entry["nbytes"]))
-    seen.sort()
-    for (s0, e0), (s1, e1) in zip(seen, seen[1:]):
-        if s1 < e0:
+                f"shape mismatch for {name}: archive {entry['shape']} in "
+                f"{len(raw)} bytes vs network {list(target.shape)}")
+        loaded.append((start, stop, target,
+                       np.frombuffer(raw, dtype=np_dtype).reshape(target.shape)))
+    loaded.sort(key=lambda item: item[:2])
+    for (_, stop, _, _), (start, _, _, _) in zip(loaded, loaded[1:]):
+        if start < stop:
             raise ValueError("overlapping offsets in archive manifest")
+    for _, _, target, arr in loaded:
+        target[...] = arr
     return net
 
 

@@ -47,10 +47,3 @@ def concat_channels(a, b):
         )
     return np.concatenate([a, b], axis=1)
 
-
-def slice_channels(x, start, stop):
-    """Channel-range view copied out as a new tensor."""
-    check_nchw(x)
-    if not (0 <= start < stop <= x.shape[1]):
-        raise ShapeError(f"channel range [{start}, {stop}) invalid for c={x.shape[1]}")
-    return x[:, start:stop].copy()

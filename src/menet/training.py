@@ -7,7 +7,7 @@ epochs, momentum 0.9, weight decay 4e-5) are kept as the "paper" preset;
 the desk preset shrinks batch and epoch counts for CPU runs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,10 +65,6 @@ class Schedule:
         return self.base_lr * self.decay_factor ** (epoch // self.step_epochs)
 
 
-def lr_at(sched: Schedule, epoch):
-    return sched.lr_at(epoch)
-
-
 class SGD:
     """SGD with momentum; weight decay hits only ``*.weight`` parameters
     (convolution and fully-connected kernels), never BN gamma/beta or
@@ -116,12 +112,16 @@ class Dataset:
 
     def __post_init__(self):
         _check_class_count(self.class_count)
-        self.images = np.asarray(self.images, dtype=np.uint8)
+        images = np.asarray(self.images)
         labels = np.asarray(self.labels)
-        if self.images.ndim != 4 or len(labels) != len(self.images):
+        if images.ndim != 4 or len(labels) != len(images):
             raise ValueError("images must be (count, c, h, w) with matching labels")
-        if len(self.images) == 0:
+        if len(images) == 0:
             raise ValueError("dataset is empty")
+        if not np.all((images >= 0) & (images <= 255) & (images % 1 == 0)):
+            raise ValueError(f"pixels must be integers in [0, 255], got "
+                             f"[{images.min()}, {images.max()}]")
+        self.images = images.astype(np.uint8)
         if labels.min() < 0 or labels.max() >= self.class_count:
             raise ValueError(
                 f"labels must lie in [0, {self.class_count}), got "
@@ -262,48 +262,30 @@ def numerical_gradient(f, arr):
     return grad
 
 
-def gradcheck(unit, x, seed=0, train=True, labels=None):
+def gradcheck(unit, x, seed=0):
     """Max relative error of analytic vs finite-difference gradients.
 
-    ``unit`` is any layer, module, or Network (given ``labels`` the network
-    objective is cross-entropy; otherwise a fixed random projection of the
-    output is used as the scalar objective).
+    ``unit`` is any layer, module, or Network, run in train mode. The scalar
+    objective is a fixed random projection of the output.
     """
     rng = np.random.default_rng(seed)
     x = np.array(x, dtype=float)
+    probe = None
 
-    if labels is not None:
-        def objective():
-            return cross_entropy(unit.forward(x, train=train), labels)[0]
+    def objective():
+        nonlocal probe
+        out = unit.forward(x, train=True)
+        if probe is None:
+            probe = rng.normal(size=out.shape)
+        return float((out * probe).sum())
 
-        def analytic():
-            unit.zero_grad()
-            logits = unit.forward(x, train=train)
-            _, grad = cross_entropy(logits, labels)
-            return unit.backward(grad)
-    else:
-        probe = None
-
-        def objective():
-            nonlocal probe
-            out = unit.forward(x, train=train)
-            if probe is None:
-                probe = rng.normal(size=out.shape)
-            return float((out * probe).sum())
-
-        def analytic():
-            unit.zero_grad()
-            objective()
-            return unit.backward(probe)
-
-    grad_x = analytic()
-    grads = dict(unit.named_grads()) if isinstance(unit, Network) \
-        else dict(unit.grads)
-    params = dict(unit.named_params()) if isinstance(unit, Network) \
-        else dict(unit.params)
+    unit.zero_grad()
+    objective()
+    grad_x = unit.backward(probe)
+    grads = unit.grads
 
     worst = relative_error(grad_x, numerical_gradient(objective, x)).max()
-    for name, p in params.items():
+    for name, p in unit.params.items():
         num = numerical_gradient(objective, p)
         worst = max(worst, relative_error(grads[name], num).max())
     return float(worst)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from menet.analysis import (
-    CostPolicy,
     connectivity_bruteforce,
     connectivity_formula,
     connectivity_realized,
@@ -152,19 +151,6 @@ class TestCost:
         fc = next(e for e in report.entries if e.name == "fc")
         assert fc.macs == 912 * 1000
         assert fc.params == 912 * 1000 + 1000
-
-    def test_policy_gates_macs(self):
-        cfg = MENetConfig(residual_width=8, fusion_width=1, groups=2,
-                          stage_repeats=[1, 1, 1], stem_channels=4,
-                          num_classes=2, input_size=16, stem_pool=False)
-        net = build_menet(cfg, seed=0)
-        off = count_cost(net, policy=CostPolicy(count_conv=False,
-                                                count_fc=False))
-        assert off.total_macs == 0
-        on = count_cost(net)
-        assert on.total_macs > 0
-        # params are policy-independent
-        assert off.total_params == on.total_params
 
     def test_summarize_agrees_with_count_cost(self):
         cfg = MENetConfig.from_notation("256-MENet-12x1", groups=4)

@@ -1,6 +1,7 @@
 """Weight-archive and dataset round-trips."""
 
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -28,6 +29,57 @@ def snapshot(net):
         entries[f"{name}.running_mean"] = bn.running_mean.copy()
         entries[f"{name}.running_var"] = bn.running_var.copy()
     return entries
+
+
+def rewrite_manifest(base, edit):
+    path = base.with_suffix(".json")
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+def flip_last_crc(manifest, blob):
+    manifest["params"][-1]["crc32"] ^= 1
+
+
+def shorten_last(manifest, blob):
+    # bytes and checksum agree, but hold one value fewer than the shape
+    last = manifest["params"][-1]
+    last["nbytes"] -= 8
+    last["crc32"] = zlib.crc32(
+        blob[last["offset"]:last["offset"] + last["nbytes"]])
+
+
+def alias_equal_entries(manifest, blob):
+    # two running-variance arrays of equal width hold equal bytes, so
+    # pointing one at the other passes every per-entry check
+    first = {}
+    for entry in manifest["params"]:
+        key = (entry["nbytes"], entry["crc32"])
+        if key in first:
+            entry["offset"] = first[key]["offset"]
+            return
+        first[key] = entry
+    raise AssertionError("no two archive entries hold equal bytes")
+
+
+# every array of tiny_net in archive order: parameters in network order
+# (module layers pw1, bn1, dw, bn_dw, pw2, bn2, merge.*, evo.*), then the
+# running statistics of every batch norm in the same order
+MODULES = ["stage2.0", "stage3.0", "stage4.0"]
+MODULE_PARAMS = [
+    "pw1.weight", "bn1.gamma", "bn1.beta", "dw.weight", "bn_dw.gamma",
+    "bn_dw.beta", "pw2.weight", "bn2.gamma", "bn2.beta", "merge.conv.weight",
+    "merge.bn.gamma", "merge.bn.beta", "evo.conv_e.weight", "evo.bn_e.gamma",
+    "evo.bn_e.beta", "evo.conv_m.weight", "evo.bn_m.gamma", "evo.bn_m.beta"]
+MODULE_BNS = ["bn1", "bn_dw", "bn2", "merge.bn", "evo.bn_e", "evo.bn_m"]
+TINY_ARCHIVE_ORDER = (
+    ["stem.conv.weight", "stem.bn.gamma", "stem.bn.beta"]
+    + [f"{m}.{p}" for m in MODULES for p in MODULE_PARAMS]
+    + ["fc.weight", "fc.bias"]
+    + [f"{bn}.{stat}"
+       for bn in ["stem.bn"] + [f"{m}.{b}" for m in MODULES for b in MODULE_BNS]
+       for stat in ("running_mean", "running_var")])
 
 
 class TestWeightArchive:
@@ -67,6 +119,52 @@ class TestWeightArchive:
         blob = (tmp_path / "w.bin").read_bytes()
         last = manifest["params"][-1]
         assert len(blob) == last["offset"] + last["nbytes"]
+
+    def test_archive_order_is_fixed(self, tmp_path):
+        path = save_weights(tiny_net(), tmp_path / "w")
+        names = [e["name"] for e in json.loads(path.read_text())["params"]]
+        assert len(TINY_ARCHIVE_ORDER) == 97
+        assert names == TINY_ARCHIVE_ORDER
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (flip_last_crc, "checksum"),
+        (shorten_last, "shape mismatch"),
+        (alias_equal_entries, "overlapping"),
+    ])
+    def test_failed_load_leaves_net_unchanged(self, tmp_path, corrupt,
+                                              message):
+        save_weights(tiny_net(seed=3), tmp_path / "w")
+        blob = (tmp_path / "w.bin").read_bytes()
+        rewrite_manifest(tmp_path / "w", lambda m: corrupt(m, blob))
+        other = tiny_net(seed=9)
+        before = snapshot(other)
+        with pytest.raises(ValueError, match=message):
+            load_weights(other, tmp_path / "w")
+        after = snapshot(other)
+        for name in before:
+            assert np.array_equal(before[name], after[name]), name
+
+    def test_negative_offset_rejected(self, tmp_path):
+        save_weights(tiny_net(), tmp_path / "w")
+        blob_size = (tmp_path / "w.bin").stat().st_size
+
+        def from_the_end(manifest):
+            # the same bytes, addressed from the blob's end
+            manifest["params"][-2]["offset"] -= blob_size
+
+        rewrite_manifest(tmp_path / "w", from_the_end)
+        with pytest.raises(ValueError, match="negative offset"):
+            load_weights(tiny_net(), tmp_path / "w")
+
+    def test_unknown_manifest_dtype_named(self, tmp_path):
+        save_weights(tiny_net(), tmp_path / "w")
+
+        def to_float16(manifest):
+            manifest["dtype"] = "float16"
+
+        rewrite_manifest(tmp_path / "w", to_float16)
+        with pytest.raises(ValueError, match="unknown archive dtype 'float16'"):
+            load_weights(tiny_net(), tmp_path / "w")
 
     def test_corrupt_blob_detected(self, tmp_path):
         net = tiny_net()

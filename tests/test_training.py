@@ -10,7 +10,6 @@ from menet.training import (
     Schedule,
     cross_entropy,
     evaluate,
-    lr_at,
     make_synthetic_dataset,
     train_loop,
 )
@@ -71,10 +70,10 @@ class TestCrossEntropy:
 class TestSchedule:
     def test_step_decay_boundaries(self):
         s = Schedule(base_lr=0.1, step_epochs=30, total_epochs=120)
-        assert lr_at(s, 0) == 0.1
-        assert lr_at(s, 29) == 0.1
-        assert np.isclose(lr_at(s, 30), 0.01)
-        assert np.isclose(lr_at(s, 119), 0.1 * 0.1 ** 3)
+        assert s.lr_at(0) == 0.1
+        assert s.lr_at(29) == 0.1
+        assert np.isclose(s.lr_at(30), 0.01)
+        assert np.isclose(s.lr_at(119), 0.1 * 0.1 ** 3)
 
     def test_out_of_range_rejected(self):
         s = Schedule(total_epochs=10)
@@ -175,6 +174,13 @@ class TestSyntheticData:
     def test_labels_checked_before_u8_cast(self):
         with pytest.raises(ValueError, match=r"\[0, 2\)"):
             Dataset(np.zeros((2, 1, 2, 2)), [0, 256], 2)
+
+    def test_pixels_checked_before_u8_cast(self):
+        for bad in (300, -1.5, 1.5, np.nan):
+            with pytest.raises(ValueError, match=r"integers in \[0, 255\]"):
+                Dataset(np.full((2, 3, 4, 4), bad), [0, 1], 2)
+        data = Dataset(np.full((2, 3, 4, 4), 255.0), [0, 1], 2)
+        assert data.images.dtype == np.uint8 and data.images.max() == 255
 
     def test_classes_are_separable_by_band_position(self):
         data = make_synthetic_dataset(count=32, size=8, classes=2, seed=4)
