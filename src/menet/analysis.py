@@ -164,13 +164,19 @@ def perturbation_pattern(module: MEModule, include_fusion=True, spatial=4,
                          eps=1e-3):
     """Numeric cross-check of ``module_dependency_pattern``.
 
-    Runs the bottleneck path with strictly positive weights and BN in
-    identity mode, perturbs each input channel upward and records which
-    output channels change.
+    Overwrites the module's parameters: batch norms get gamma 1, beta 0,
+    running mean 0 and variance 1 (in eval mode a positive per-channel scale,
+    which cancels no perturbation), convs strictly positive weights. Runs the
+    bottleneck path in eval mode with each input channel perturbed upward in
+    turn and records which output channels change.
     """
     cfg = module.cfg
     b = cfg.bottleneck_channels
-    module.set_bn_mode("identity")
+    for _, bn in module.batchnorms():
+        bn.params["gamma"][...] = 1.0
+        bn.params["beta"][...] = 0.0
+        bn.running_mean = np.zeros(bn.channels)
+        bn.running_var = np.ones(bn.channels)
     for layer in module.named_layers().values():
         if isinstance(layer, Conv2d):
             w = np.abs(layer.params["weight"]) + 0.05

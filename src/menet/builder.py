@@ -128,7 +128,7 @@ def build_menet(cfg: MENetConfig, seed=0) -> Network:
     cfg.validate()
     rng = np.random.default_rng(seed)
     items = []
-    items.append(("stem.conv", Conv2d(3, cfg.stem_channels, 3, stride=2, pad=1,
+    items.append(("stem.conv", Conv2d(3, cfg.stem_channels, 3, stride=2,
                                       rng=rng)))
     items.append(("stem.bn", BatchNorm2d(cfg.stem_channels)))
     items.append(("stem.relu", ReLU()))

@@ -141,7 +141,8 @@ def _desk_net(settings):
 
 
 def cmd_train(args):
-    settings = _merged_settings(args)
+    # the desk preset fills in what neither a preset nor a setting gives
+    settings = {**training.PRESETS["desk"], **_merged_settings(args)}
     if "dataset" not in settings:
         raise ValueError("--dataset is required")
     data = serialization.load_dataset(settings["dataset"])
@@ -149,14 +150,12 @@ def cmd_train(args):
     settings.setdefault("input_size", data.images.shape[2])
     net = _desk_net(settings)
     sched = training.Schedule(
-        base_lr=settings.get("base_lr", 0.1),
-        step_epochs=settings.get("step_epochs", 30),
-        total_epochs=max(settings.get("epochs", 30),
-                         settings.get("step_epochs", 30)),
+        base_lr=settings["base_lr"],
+        step_epochs=settings["step_epochs"],
+        total_epochs=max(settings["epochs"], settings["step_epochs"]),
     )
-    opt = training.SGD(lr=sched.base_lr,
-                       momentum=settings.get("momentum", 0.9),
-                       weight_decay=settings.get("weight_decay", 4e-5))
+    opt = training.SGD(lr=sched.base_lr, momentum=settings["momentum"],
+                       weight_decay=settings["weight_decay"])
     metrics_path = settings.get("metrics_out")
     sink = open(metrics_path, "a") if metrics_path else None
     try:
@@ -167,9 +166,9 @@ def cmd_train(args):
 
         history = training.train_loop(
             net, data, sched, opt,
-            epochs=settings.get("epochs", 30),
+            epochs=settings["epochs"],
             seed=settings.get("seed", 0),
-            batch_size=settings.get("batch_size", 32),
+            batch_size=settings["batch_size"],
             flip_augment=settings.get("flip_augment", False),
             log=log)
     finally:

@@ -72,21 +72,20 @@ def _pooled_shape(shape):
 
 
 class Conv2d(Layer):
-    """2-D convolution with square kernel, optional channel groups.
+    """2-D convolution with a 1x1 or 3x3 square kernel padded by k // 2,
+    optional channel groups and no bias (a batch norm follows every conv).
 
     Weights are shaped (out_channels, in_channels // groups, k, k).
     ``depthwise=True`` is the g == in == out special case.
     """
 
-    def __init__(self, in_channels, out_channels, kernel, stride=1, pad=0,
-                 groups=1, depthwise=False, bias=False, rng=None):
+    def __init__(self, in_channels, out_channels, kernel, stride=1,
+                 groups=1, depthwise=False, rng=None):
         super().__init__()
         if kernel not in (1, 3):
             raise ValueError(f"kernel must be 1 or 3, got {kernel}")
         if stride not in (1, 2):
             raise ValueError(f"stride must be 1 or 2, got {stride}")
-        if (pad == 1) != (kernel == 3):
-            raise ValueError("pad must be 1 exactly when kernel is 3")
         if depthwise:
             if not (groups == in_channels == out_channels):
                 raise ValueError(
@@ -101,7 +100,7 @@ class Conv2d(Layer):
         self.out_channels = out_channels
         self.kernel = kernel
         self.stride = stride
-        self.pad = pad
+        self.pad = kernel // 2
         self.groups = groups
         self.depthwise = depthwise
         wshape = (out_channels, in_channels // groups, kernel, kernel)
@@ -112,8 +111,6 @@ class Conv2d(Layer):
             std = np.sqrt(2.0 / (kernel * kernel * out_channels))
             w = rng.normal(0.0, std, size=wshape)
         self._register("weight", w)
-        if bias:
-            self._register("bias", np.zeros(out_channels))
 
     def out_shape(self, shape):
         _, h, w = shape
@@ -132,12 +129,9 @@ class Conv2d(Layer):
             raise ShapeError(
                 f"expected {self.in_channels} input channels, got {x.shape[1]}"
             )
-        w = self.params["weight"]
-        out = conv2d_raw(x, w, self.stride, self.pad, self.groups)
-        if "bias" in self.params:
-            out = out + self.params["bias"][None, :, None, None]
         self._cache = x
-        return out
+        return conv2d_raw(x, self.params["weight"], self.stride, self.pad,
+                          self.groups)
 
     def backward(self, grad_out):
         x = self._need_cache()
@@ -146,8 +140,6 @@ class Conv2d(Layer):
             x, w, grad_out, self.stride, self.pad, self.groups
         )
         self.grads["weight"] += grad_w
-        if "bias" in self.params:
-            self.grads["bias"] += grad_out.sum(axis=(0, 2, 3))
         return grad_x
 
 
@@ -240,23 +232,16 @@ def conv2d_backward_raw(x, w, grad_out, stride, pad, groups):
 
 
 class BatchNorm2d(Layer):
-    """Per-channel batch normalization with train / eval / identity modes.
+    """Per-channel batch normalization. ``train=True`` normalizes with the
+    batch statistics and updates the running ones; ``train=False`` uses the
+    running statistics."""
 
-    Identity mode passes the input through untouched; the analysis module
-    uses it so structural perturbation tests are not cancelled by
-    normalization.
-    """
+    epsilon = 1e-5
+    momentum = 0.1
 
-    def __init__(self, channels, epsilon=1e-5, momentum=0.1, mode="train"):
+    def __init__(self, channels):
         super().__init__()
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if not 0 < momentum < 1:
-            raise ValueError("momentum must be in (0, 1)")
         self.channels = channels
-        self.epsilon = epsilon
-        self.momentum = momentum
-        self.mode = mode
         self._register("gamma", np.ones(channels))
         self._register("beta", np.zeros(channels))
         self.running_mean = np.zeros(channels)
@@ -266,13 +251,9 @@ class BatchNorm2d(Layer):
         check_nchw(x)
         if x.shape[1] != self.channels:
             raise ShapeError(f"expected {self.channels} channels, got {x.shape[1]}")
-        if self.mode == "identity":
-            self._cache = ("identity",)
-            return x
         gamma = self.params["gamma"]
         beta = self.params["beta"]
-        use_batch_stats = train and self.mode == "train"
-        if use_batch_stats:
+        if train:
             m = x.shape[0] * x.shape[2] * x.shape[3]
             if m < 2:
                 raise ShapeError(
@@ -288,27 +269,21 @@ class BatchNorm2d(Layer):
             )
             inv_std = 1.0 / np.sqrt(var + self.epsilon)
             xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-            self._cache = ("train", xhat, inv_std, m)
+            self._cache = (xhat, inv_std, m)
         else:
             inv_std = 1.0 / np.sqrt(self.running_var + self.epsilon)
             xhat = (x - self.running_mean[None, :, None, None]) \
                 * inv_std[None, :, None, None]
-            self._cache = ("eval", xhat, inv_std)
+            self._cache = (xhat, inv_std, None)
         return gamma[None, :, None, None] * xhat + beta[None, :, None, None]
 
     def backward(self, grad_out):
-        cache = self._need_cache()
-        if cache[0] == "identity":
-            return grad_out
+        xhat, inv_std, m = self._need_cache()
         gamma = self.params["gamma"]
-        if cache[0] == "eval":
-            _, xhat, inv_std = cache
-            self.grads["gamma"] += (grad_out * xhat).sum(axis=(0, 2, 3))
-            self.grads["beta"] += grad_out.sum(axis=(0, 2, 3))
-            return grad_out * (gamma * inv_std)[None, :, None, None]
-        _, xhat, inv_std, m = cache
         self.grads["gamma"] += (grad_out * xhat).sum(axis=(0, 2, 3))
         self.grads["beta"] += grad_out.sum(axis=(0, 2, 3))
+        if m is None:
+            return grad_out * (gamma * inv_std)[None, :, None, None]
         g = grad_out * gamma[None, :, None, None]
         sum_g = g.sum(axis=(0, 2, 3), keepdims=True)
         sum_gx = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)

@@ -119,7 +119,7 @@ class EvolutionOp(Chain):
     def __init__(self, fusion_channels, match_channels, stride=1,
                  combine_mode="product", rng=None):
         self.conv_e = Conv2d(fusion_channels, fusion_channels, 3, stride=stride,
-                             pad=1, rng=rng)
+                             rng=rng)
         self.bn_e = BatchNorm2d(fusion_channels)
         self.relu_e = ReLU()
         self.conv_m = Conv2d(fusion_channels, match_channels, 1, rng=rng)
@@ -146,8 +146,8 @@ class MEModule(Composite):
         self.bn1 = BatchNorm2d(b)
         self.relu1 = ReLU()
         self.shuffle = ChannelShuffle(cfg.groups)
-        self.dw = Conv2d(b, b, 3, stride=stride, pad=1, groups=b,
-                         depthwise=True, rng=rng)
+        self.dw = Conv2d(b, b, 3, stride=stride, groups=b, depthwise=True,
+                         rng=rng)
         self.bn_dw = BatchNorm2d(b)
         self.merging = MergingOp(b, cfg.fusion_channels, rng=rng)
         self.evolution = EvolutionOp(cfg.fusion_channels, b, stride=stride,
@@ -230,7 +230,3 @@ class MEModule(Composite):
         grad_x += self.pw1.backward(
             self.bn1.backward(self.relu1.backward(g_r)))
         return grad_x
-
-    def set_bn_mode(self, mode):
-        for _, bn in self.batchnorms():
-            bn.mode = mode

@@ -18,9 +18,6 @@ class Network(Chain):
         self.input_size = input_size
         self.num_classes = num_classes
 
-    def __iter__(self):
-        return iter(self.items)
-
     @property
     def steps(self):
         return self.items

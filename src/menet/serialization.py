@@ -2,10 +2,10 @@
 
 Weight archive: ``<base>.json`` manifest mapping parameter name to shape,
 dtype, byte offset, byte length and CRC32, plus ``<base>.bin`` holding the
-raw little-endian IEEE-754 values in manifest order. float64 round-trips
-losslessly; float32 is a storage mode for smaller files. Batch-norm running
-statistics are stored alongside learnable parameters so eval mode survives
-a round trip.
+raw little-endian IEEE-754 float64 values in manifest order, so a round
+trip is lossless; the manifest's ``dtype`` is always "float64". Batch-norm
+running statistics are stored alongside learnable parameters so eval mode
+survives a round trip.
 
 Dataset: ``<base>.json`` manifest (count, channels, height, width,
 class_count) plus ``<base>.bin`` of u8 pixels followed by u8 labels.
@@ -20,7 +20,7 @@ import numpy as np
 from .network import Network
 from .training import Dataset
 
-_DTYPES = {"float64": "<f8", "float32": "<f4"}
+_DTYPE = np.dtype("<f8")
 
 
 def _archive_entries(net: Network):
@@ -31,17 +31,22 @@ def _archive_entries(net: Network):
         yield f"{name}.running_var", bn.running_var
 
 
-def save_weights(net: Network, base, dtype="float64"):
+def _read_manifest(base, kind, what):
+    """The ``<base>.json`` manifest, checked to be an object of ``kind``."""
+    manifest = json.loads(base.with_suffix(".json").read_text())
+    if not isinstance(manifest, dict) or manifest.get("format") != kind:
+        raise ValueError(f"not a {what} manifest")
+    return manifest
+
+
+def save_weights(net: Network, base):
     """Write ``<base>.json`` + ``<base>.bin``; returns the manifest path."""
-    if dtype not in _DTYPES:
-        raise ValueError(f"dtype must be one of {sorted(_DTYPES)}")
     base = Path(base)
-    np_dtype = np.dtype(_DTYPES[dtype])
-    manifest = {"format": "menet-weights", "version": 1, "dtype": dtype,
+    manifest = {"format": "menet-weights", "version": 1, "dtype": "float64",
                 "params": []}
     blob = bytearray()
     for name, arr in _archive_entries(net):
-        raw = np.ascontiguousarray(arr, dtype=np_dtype).tobytes()
+        raw = np.ascontiguousarray(arr, dtype=_DTYPE).tobytes()
         manifest["params"].append({
             "name": name,
             "shape": list(arr.shape),
@@ -61,13 +66,10 @@ def load_weights(net: Network, base):
     """Load an archive into ``net``, verifying layout and checksums; every
     entry is checked before any array is written."""
     base = Path(base)
-    manifest = json.loads(base.with_suffix(".json").read_text())
-    if manifest.get("format") != "menet-weights":
-        raise ValueError("not a weight archive manifest")
-    if manifest.get("dtype") not in _DTYPES:
+    manifest = _read_manifest(base, "menet-weights", "weight archive")
+    if manifest.get("dtype") != "float64":
         raise ValueError(f"unknown archive dtype {manifest.get('dtype')!r}, "
-                         f"expected one of {sorted(_DTYPES)}")
-    np_dtype = np.dtype(_DTYPES[manifest["dtype"]])
+                         "expected 'float64'")
     blob = base.with_suffix(".bin").read_bytes()
     targets = dict(_archive_entries(net))
     archived = {entry["name"] for entry in manifest["params"]}
@@ -91,12 +93,12 @@ def load_weights(net: Network, base):
             raise ValueError(f"checksum mismatch for {name}")
         target = targets[name]
         if (tuple(entry["shape"]) != target.shape
-                or len(raw) != target.size * np_dtype.itemsize):
+                or len(raw) != target.size * _DTYPE.itemsize):
             raise ValueError(
                 f"shape mismatch for {name}: archive {entry['shape']} in "
                 f"{len(raw)} bytes vs network {list(target.shape)}")
         loaded.append((start, stop, target,
-                       np.frombuffer(raw, dtype=np_dtype).reshape(target.shape)))
+                       np.frombuffer(raw, dtype=_DTYPE).reshape(target.shape)))
     loaded.sort(key=lambda item: item[:2])
     for (_, stop, _, _), (start, _, _, _) in zip(loaded, loaded[1:]):
         if start < stop:
@@ -122,9 +124,7 @@ def save_dataset(data: Dataset, base):
 
 def load_dataset(base) -> Dataset:
     base = Path(base)
-    manifest = json.loads(base.with_suffix(".json").read_text())
-    if manifest.get("format") != "menet-dataset":
-        raise ValueError("not a dataset manifest")
+    manifest = _read_manifest(base, "menet-dataset", "dataset")
     count = manifest["count"]
     shape = (count, manifest["channels"], manifest["height"],
              manifest["width"])

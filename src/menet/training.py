@@ -51,18 +51,13 @@ def cross_entropy(logits, labels):
 @dataclass
 class Schedule:
     base_lr: float = 0.1
-    decay_factor: float = 0.1
     step_epochs: int = 30
     total_epochs: int = 120
-
-    def __post_init__(self):
-        if not 0 < self.decay_factor < 1:
-            raise ValueError("decay_factor must be in (0, 1)")
 
     def lr_at(self, epoch):
         if not 0 <= epoch < self.total_epochs:
             raise ValueError(f"epoch {epoch} outside [0, {self.total_epochs})")
-        return self.base_lr * self.decay_factor ** (epoch // self.step_epochs)
+        return self.base_lr * 0.1 ** (epoch // self.step_epochs)
 
 
 class SGD:
@@ -122,9 +117,11 @@ class Dataset:
             raise ValueError(f"pixels must be integers in [0, 255], got "
                              f"[{images.min()}, {images.max()}]")
         self.images = images.astype(np.uint8)
-        if labels.min() < 0 or labels.max() >= self.class_count:
+        # the range test goes first, so ``% 1`` never sees inf or nan
+        if not (np.all((labels >= 0) & (labels < self.class_count))
+                and np.all(labels % 1 == 0)):
             raise ValueError(
-                f"labels must lie in [0, {self.class_count}), got "
+                f"labels must be integers in [0, {self.class_count}), got "
                 f"[{labels.min()}, {labels.max()}]")
         self.labels = labels.astype(np.uint8)
 
@@ -204,11 +201,10 @@ def train_loop(net: Network, data: Dataset, sched: Schedule, opt: SGD,
 
 def _check_smallest_batch(net, shape, count, batch_size):
     """Reject, before any step, a split into batches whose smallest batch
-    leaves some train-mode batch norm fewer than 2 values per channel."""
+    leaves some batch norm fewer than 2 values per channel."""
     smallest = count % batch_size or batch_size
     for name, layer, (_, h, w) in net.layer_shapes(shape):
-        if (isinstance(layer, BatchNorm2d) and layer.mode == "train"
-                and smallest * h * w < 2):
+        if isinstance(layer, BatchNorm2d) and smallest * h * w < 2:
             raise ValueError(
                 f"{count} samples at batch size {batch_size} leave a last "
                 f"batch of {smallest}, which gives batch norm {name} "
@@ -216,14 +212,14 @@ def _check_smallest_batch(net, shape, count, batch_size):
                 "change the batch size or the sample count")
 
 
-def evaluate(net: Network, data: Dataset, batch_size=64):
-    """Eval-mode accuracy (running BN statistics)."""
+def evaluate(net: Network, data: Dataset):
+    """Eval-mode accuracy (running BN statistics), 64 samples at a time."""
     x_all = data.as_float()
     y_all = data.labels.astype(int)
     correct = 0
-    for start in range(0, len(data), batch_size):
-        logits = net.forward(x_all[start:start + batch_size], train=False)
-        correct += int((logits.argmax(axis=1) == y_all[start:start + batch_size]).sum())
+    for start in range(0, len(data), 64):
+        logits = net.forward(x_all[start:start + 64], train=False)
+        correct += int((logits.argmax(axis=1) == y_all[start:start + 64]).sum())
     return correct / len(data)
 
 
@@ -231,9 +227,9 @@ def evaluate(net: Network, data: Dataset, batch_size=64):
 # gradient checking
 # ---------------------------------------------------------------------------
 
-def relative_error(analytic, numeric, atol=1e-7):
-    """|a - f| / max(|a|, |f|, 1e-8), with differences below ``atol``
-    treated as agreement.
+def relative_error(analytic, numeric):
+    """|a - f| / max(|a|, |f|, 1e-8), with differences below 1e-7 treated
+    as agreement.
 
     The absolute floor is needed because central differences resolve a
     gradient only down to roughly 1e-8; an exactly-zero analytic gradient
@@ -243,7 +239,7 @@ def relative_error(analytic, numeric, atol=1e-7):
     """
     diff = np.abs(analytic - numeric)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return np.where(diff < atol, 0.0, diff / denom)
+    return np.where(diff < 1e-7, 0.0, diff / denom)
 
 
 def numerical_gradient(f, arr):

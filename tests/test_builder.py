@@ -132,7 +132,7 @@ class TestBuiltNetwork:
     def test_module_sequence_types(self):
         cfg = MENetConfig.from_notation("256-MENet-12x1", groups=4)
         net = build_menet(cfg, seed=0)
-        modules = [item for _, item in net if isinstance(item, MEModule)]
+        modules = [item for _, item in net.items if isinstance(item, MEModule)]
         assert len(modules) == 16
         assert modules[0].cfg.in_channels == 24
         assert modules[0].cfg.out_channels == 256

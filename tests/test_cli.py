@@ -4,7 +4,12 @@ import json
 
 import pytest
 
+from menet import training
 from menet.cli import _merged_settings, build_parser, load_config, main
+
+DESK_FLAGS = ["--model", "8-MENet-1x1", "--groups", "2",
+              "--stage-repeats", "1", "1", "1", "--stem-channels", "4",
+              "--no-stem-pool"]
 
 
 def run(capsys, *argv):
@@ -211,6 +216,35 @@ class TestTrainEvalRoundtrip:
                              "--size", "8", "--classes", "10")
         assert code == 2 and "wrote" not in out
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("manifest", ["weights", "synth"])
+    def test_manifest_root_not_an_object_is_one_error_line(
+            self, capsys, tmp_path, manifest):
+        data, weights = tmp_path / "synth", tmp_path / "weights"
+        run(capsys, "make-synth", "--out", str(data), "--count", "8")
+        code, _, _ = run(capsys, "train", *DESK_FLAGS, "--dataset",
+                         str(data), "--epochs", "1", "--batch-size", "8",
+                         "--weights-out", str(weights))
+        assert code == 0
+        (tmp_path / f"{manifest}.json").write_text("[1]")
+        code, out, err = run(capsys, "eval", *DESK_FLAGS, "--dataset",
+                             str(data), "--weights", str(weights))
+        assert code == 2 and "accuracy" not in out
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "manifest" in err
+
+    def test_train_defaults_come_from_desk_preset(self, capsys, tmp_path,
+                                                  monkeypatch):
+        data = tmp_path / "synth"
+        run(capsys, "make-synth", "--out", str(data), "--count", "8")
+        monkeypatch.setitem(training.PRESETS["desk"], "epochs", 2)
+        monkeypatch.setitem(training.PRESETS["desk"], "batch_size", 8)
+        code, out, _ = run(capsys, "train", *DESK_FLAGS, "--dataset",
+                           str(data))
+        assert code == 0
+        assert [line.split()[:2] for line in out.splitlines()
+                if line.startswith("epoch")] == [["epoch", "0"],
+                                                 ["epoch", "1"]]
 
     def test_missing_dataset_is_error(self, capsys):
         code, _, err = run(capsys, "train", "--model", "8-MENet-1x1",

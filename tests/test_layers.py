@@ -168,7 +168,7 @@ class TestConv2d:
         assert np.array_equal(conv.forward(x), x)
 
     def test_depthwise_ones_counts_taps(self):
-        conv = Conv2d(2, 2, 3, pad=1, groups=2, depthwise=True)
+        conv = Conv2d(2, 2, 3, groups=2, depthwise=True)
         conv.params["weight"][...] = 1.0
         x = np.ones((1, 2, 5, 5))
         out = conv.forward(x)
@@ -291,8 +291,6 @@ class TestConv2d:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            Conv2d(4, 4, 3, pad=0)
-        with pytest.raises(ValueError):
             Conv2d(5, 4, 1, groups=2)
         with pytest.raises(ValueError):
             Conv2d(4, 6, 1, groups=4, depthwise=True)
@@ -311,12 +309,6 @@ class TestBatchNorm:
         assert np.all(np.abs(mean) < 1e-10)
         assert np.all(np.abs(var - 1.0) < 1e-4)   # off by eps/(var+eps)
 
-    def test_identity_mode_bit_equal(self):
-        bn = BatchNorm2d(3, mode="identity")
-        x = np.random.default_rng(4).normal(size=(2, 3, 4, 4))
-        assert bn.forward(x, train=True) is x or np.array_equal(
-            bn.forward(x, train=True), x)
-
     def test_eval_mode_affine(self):
         bn = BatchNorm2d(2)
         bn.params["gamma"][...] = 2.0
@@ -327,7 +319,7 @@ class TestBatchNorm:
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_running_stats_update(self):
-        bn = BatchNorm2d(1, momentum=0.1)
+        bn = BatchNorm2d(1)
         x = np.full((2, 1, 2, 2), 10.0)
         x[0] = 0.0
         bn.forward(x, train=True)
@@ -472,11 +464,11 @@ def test_backward_without_forward_rejected():
 SHAPE_CASES = [
     ("pw_grouped", 1, lambda s: Conv2d(4, 6, 1, stride=s, groups=2)),
     ("pw_grouped", 2, lambda s: Conv2d(4, 6, 1, stride=s, groups=2)),
-    ("conv3x3", 1, lambda s: Conv2d(4, 5, 3, stride=s, pad=1)),
-    ("conv3x3", 2, lambda s: Conv2d(4, 5, 3, stride=s, pad=1)),
-    ("depthwise", 1, lambda s: Conv2d(4, 4, 3, stride=s, pad=1, groups=4,
+    ("conv3x3", 1, lambda s: Conv2d(4, 5, 3, stride=s)),
+    ("conv3x3", 2, lambda s: Conv2d(4, 5, 3, stride=s)),
+    ("depthwise", 1, lambda s: Conv2d(4, 4, 3, stride=s, groups=4,
                                       depthwise=True)),
-    ("depthwise", 2, lambda s: Conv2d(4, 4, 3, stride=s, pad=1, groups=4,
+    ("depthwise", 2, lambda s: Conv2d(4, 4, 3, stride=s, groups=4,
                                       depthwise=True)),
     ("bn", None, lambda s: BatchNorm2d(4)),
     ("relu", None, lambda s: ReLU()),

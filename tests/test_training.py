@@ -82,10 +82,6 @@ class TestSchedule:
         with pytest.raises(ValueError):
             s.lr_at(-1)
 
-    def test_bad_decay_rejected(self):
-        with pytest.raises(ValueError):
-            Schedule(decay_factor=1.5)
-
 
 class TestSGD:
     def test_matches_scalar_recurrence(self):
@@ -174,6 +170,14 @@ class TestSyntheticData:
     def test_labels_checked_before_u8_cast(self):
         with pytest.raises(ValueError, match=r"\[0, 2\)"):
             Dataset(np.zeros((2, 1, 2, 2)), [0, 256], 2)
+
+    def test_non_integral_labels_rejected(self):
+        # the u8 cast would store 1.7 as 1
+        for bad in (1.7, np.inf, np.nan):
+            with pytest.raises(ValueError, match=r"integers in \[0, 2\)"):
+                Dataset(np.zeros((2, 1, 2, 2)), [0, bad], 2)
+        data = Dataset(np.zeros((2, 1, 2, 2)), [0.0, 1.0], 2)
+        assert data.labels.tolist() == [0, 1]
 
     def test_pixels_checked_before_u8_cast(self):
         for bad in (300, -1.5, 1.5, np.nan):
