@@ -17,6 +17,7 @@ import numpy as np
 from .layers import ChannelShuffle, Conv2d
 from .me_module import MEModule
 from .network import Network
+from .tensor import elementwise_combine
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +187,11 @@ def perturbation_pattern(module: MEModule, include_fusion=True, spatial=4,
 
     def path(x):
         s = module.shuffle.forward(x)
-        d = module.bn_dw.forward(module.dw.forward(s))
+        d = module.depthwise.forward(s)
         if not include_fusion:
             return d
-        z = module.merging.forward(s)
-        f = module.evolution.forward(z)
-        return d * f if cfg.combine_mode == "product" else d + f
+        return elementwise_combine(d, module.fusion.forward(s),
+                                   cfg.combine_mode)
 
     rng = np.random.default_rng(7)
     x = np.abs(rng.normal(1.0, 0.2, size=(1, b, spatial, spatial)))

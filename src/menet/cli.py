@@ -21,7 +21,7 @@ CONFIG_KEYS = {
     "model", "groups", "stage_repeats", "num_classes", "input_size",
     "stem_channels", "stem_pool", "combine_mode", "epochs", "batch_size",
     "base_lr", "momentum", "weight_decay", "step_epochs", "seed",
-    "dataset", "weights_out", "metrics_out", "preset", "flip_augment",
+    "dataset", "weights_out", "metrics_out", "preset",
 }
 
 
@@ -119,8 +119,9 @@ def cmd_gradcheck(args):
                           groups=2, combine_mode=args.combine_mode)
     module = MEModule(mcfg, rng=rng)
     x = rng.normal(size=(2, 8, 5, 5))
-    err = training.gradcheck(module, x, seed=args.seed)
+    err, diff = training.gradcheck_errors(module, x, seed=args.seed)
     print(f"module_max_rel_err {err:.3e}")
+    print(f"module_max_abs_diff {diff:.3e}")
     ok = err < 1e-4
     print("pass" if ok else "FAIL")
     return 0 if ok else 1
@@ -169,7 +170,6 @@ def cmd_train(args):
             epochs=settings["epochs"],
             seed=settings.get("seed", 0),
             batch_size=settings["batch_size"],
-            flip_augment=settings.get("flip_augment", False),
             log=log)
     finally:
         if sink:

@@ -492,11 +492,12 @@ class Composite:
 
 
 class Chain(Composite):
-    """Runs ``steps``, (name, layer or composite) pairs, in order forward
+    """Runs its steps, (name, layer or composite) pairs, in order forward
     and in reverse backward. Its named layers are the steps that hold
     parameters and, under the step name, a composite step's own."""
 
-    steps = ()
+    def __init__(self, *steps):
+        self.steps = list(steps)
 
     def named_layers(self):
         out = {}
@@ -516,3 +517,17 @@ class Chain(Composite):
         for _, step in reversed(self.steps):
             grad_out = step.backward(grad_out)
         return grad_out
+
+    def layer_shapes(self, shape):
+        """Rows of (name, layer, input shape) for the named layers in
+        dataflow order, and the output shape, for a (c, h, w) input."""
+        rows = []
+        for name, step in self.steps:
+            if isinstance(step, Composite):
+                sub, shape = step.layer_shapes(shape)
+                rows += [(f"{name}.{sn}", layer, s) for sn, layer, s in sub]
+                continue
+            if step.params:
+                rows.append((name, step, shape))
+            shape = step.out_shape(shape)
+        return rows, shape

@@ -13,8 +13,10 @@ Activation placement follows the shuffle-unit convention: ReLU after the
 first pointwise+BN, none after the depthwise+BN, none after the second
 pointwise+BN, and a final ReLU after the add/concat.
 
-Merging and evolution are layer chains; the module wires its three branches
-by hand and names its layers in weight-archive order (``named_layers``).
+The module holds four layer chains: ``trunk`` (pw1, bn1, relu1, shuffle),
+``depthwise`` (dw, bn_dw), ``fusion`` (merging, evolution) and ``project``
+(pw2, bn2). Forward, backward, shapes and the archive order read them; only
+the elementwise combine and the skip are written out by hand.
 """
 
 from dataclasses import dataclass
@@ -104,8 +106,8 @@ class MergingOp(Chain):
         self.conv = Conv2d(in_channels, fusion_channels, 1, rng=rng)
         self.bn = BatchNorm2d(fusion_channels)
         self.relu = ReLU()
-        self.steps = [("conv", self.conv), ("bn", self.bn),
-                      ("relu", self.relu)]
+        super().__init__(("conv", self.conv), ("bn", self.bn),
+                         ("relu", self.relu))
 
 
 class EvolutionOp(Chain):
@@ -124,9 +126,9 @@ class EvolutionOp(Chain):
         self.relu_e = ReLU()
         self.conv_m = Conv2d(fusion_channels, match_channels, 1, rng=rng)
         self.bn_m = BatchNorm2d(match_channels)
-        self.steps = [("conv_e", self.conv_e), ("bn_e", self.bn_e),
-                      ("relu_e", self.relu_e), ("conv_m", self.conv_m),
-                      ("bn_m", self.bn_m)]
+        super().__init__(("conv_e", self.conv_e), ("bn_e", self.bn_e),
+                         ("relu_e", self.relu_e), ("conv_m", self.conv_m),
+                         ("bn_m", self.bn_m))
         self.sigmoid = None
         if combine_mode == "product":
             self.sigmoid = Sigmoid()
@@ -157,31 +159,27 @@ class MEModule(Composite):
         self.bn2 = BatchNorm2d(cfg.residual_out_channels)
         self.identity_pool = AvgPool3x3s2() if cfg.downsample else None
         self.relu_final = ReLU()
+        self.trunk = Chain(("pw1", self.pw1), ("bn1", self.bn1),
+                           ("relu1", self.relu1), ("shuffle", self.shuffle))
+        self.depthwise = Chain(("dw", self.dw), ("bn_dw", self.bn_dw))
+        self.fusion = Chain(("merge", self.merging), ("evo", self.evolution))
+        self.project = Chain(("pw2", self.pw2), ("bn2", self.bn2))
         self._cache = None
 
     def named_layers(self):
-        return {"pw1": self.pw1, "bn1": self.bn1, "dw": self.dw,
-                "bn_dw": self.bn_dw, "pw2": self.pw2, "bn2": self.bn2,
-                **self.merging.prefixed_layers("merge"),
-                **self.evolution.prefixed_layers("evo")}
+        return {name: layer
+                for chain in (self.trunk, self.depthwise, self.project,
+                              self.fusion)
+                for name, layer in chain.named_layers().items()}
 
     def layer_shapes(self, shape):
-        """Rows of (name, layer, input shape) for every named layer in
-        dataflow order, and the module's output shape, for a (c, h, w)
-        input. No forward pass runs; ReLUs, the shuffle and the sigmoid
-        keep the shape."""
-        layers = self.named_layers()
-        rows = []
-
-        def chain(names, s):
-            for name in names:
-                rows.append((name, layers[name], s))
-                s = layers[name].out_shape(s)
-            return s
-
-        s = chain(["pw1", "bn1"], shape)
-        chain([name for name in layers if "." in name], s)  # merge.*, evo.*
-        res = chain(["dw", "bn_dw", "pw2", "bn2"], s)
+        """Rows of (name, layer, input shape) for every named layer, fusion
+        branch first, and the module's output shape, for a (c, h, w) input."""
+        rows, s = self.trunk.layer_shapes(shape)
+        rows += self.fusion.layer_shapes(s)[0]
+        dw_rows, d = self.depthwise.layer_shapes(s)
+        project_rows, res = self.project.layer_shapes(d)
+        rows += dw_rows + project_rows
         if not self.cfg.downsample:
             return rows, res
         ident = self.identity_pool.out_shape(shape)
@@ -189,20 +187,17 @@ class MEModule(Composite):
 
     def forward(self, x, train=False):
         cfg = self.cfg
-        r = self.relu1.forward(
-            self.bn1.forward(self.pw1.forward(x, train), train), train)
-        s = self.shuffle.forward(r, train)
-        d = self.bn_dw.forward(self.dw.forward(s, train), train)
-        f = self.evolution.forward(self.merging.forward(s, train), train)
-        comb = elementwise_combine(d, f, cfg.combine_mode)
-        res = self.bn2.forward(self.pw2.forward(comb, train), train)
+        s = self.trunk.forward(x, train)
+        d = self.depthwise.forward(s, train)
+        f = self.fusion.forward(s, train)
+        res = self.project.forward(
+            elementwise_combine(d, f, cfg.combine_mode), train)
         if cfg.downsample:
-            ident = self.identity_pool.forward(x, train)
-            out = self.relu_final.forward(concat_channels(ident, res), train)
+            out = concat_channels(self.identity_pool.forward(x, train), res)
         else:
-            out = self.relu_final.forward(x + res, train)
+            out = x + res
         self._cache = (d, f)
-        return out
+        return self.relu_final.forward(out, train)
 
     def backward(self, grad_out):
         if self._cache is None:
@@ -211,22 +206,15 @@ class MEModule(Composite):
         cfg = self.cfg
         g = self.relu_final.backward(grad_out)
         if cfg.downsample:
-            g_ident = g[:, :cfg.in_channels]
-            g_res = g[:, cfg.in_channels:]
-            grad_x = self.identity_pool.backward(g_ident)
+            grad_x = self.identity_pool.backward(g[:, :cfg.in_channels])
+            g = g[:, cfg.in_channels:]
         else:
-            g_res = g
             grad_x = g.copy()
-        gc = self.pw2.backward(self.bn2.backward(g_res))
+        gc = self.project.backward(g)
         if cfg.combine_mode == "product":
-            g_d = gc * f
-            g_f = gc * d
+            g_d, g_f = gc * f, gc * d
         else:
-            g_d = gc
-            g_f = gc
-        g_s = (self.dw.backward(self.bn_dw.backward(g_d))
-               + self.merging.backward(self.evolution.backward(g_f)))
-        g_r = self.shuffle.backward(g_s)
-        grad_x += self.pw1.backward(
-            self.bn1.backward(self.relu1.backward(g_r)))
+            g_d = g_f = gc
+        g_s = self.depthwise.backward(g_d) + self.fusion.backward(g_f)
+        grad_x += self.trunk.backward(g_s)
         return grad_x

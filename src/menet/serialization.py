@@ -24,8 +24,7 @@ _DTYPE = np.dtype("<f8")
 
 
 def _archive_entries(net: Network):
-    for name, p in net.named_params():
-        yield name, p
+    yield from net.params.items()
     for name, bn in net.batchnorms():
         yield f"{name}.running_mean", bn.running_mean
         yield f"{name}.running_var", bn.running_var

@@ -67,6 +67,14 @@ class TestConnectivity:
         with pytest.raises(ValueError):
             connectivity_bruteforce(10, 4)
 
+    @pytest.mark.parametrize("count", [connectivity_formula,
+                                       connectivity_bruteforce,
+                                       connectivity_realized])
+    @pytest.mark.parametrize("groups", [0, -3])
+    def test_groups_below_one_rejected(self, count, groups):
+        with pytest.raises(ValueError, match="groups must be >= 1"):
+            count(9, groups)
+
 
 class TestDependencyPatterns:
     def test_grouped_conv_block_diagonal(self):

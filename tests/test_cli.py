@@ -18,6 +18,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_one_error_line(code, err):
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 class TestShuffleDemo:
     def test_nine_three(self, capsys):
         code, out, _ = run(capsys, "shuffle-demo", "--channels", "9",
@@ -59,6 +64,12 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_groups_below_one_is_error(self, capsys):
+        code, _, err = run(capsys, "analyze", "--channels", "9",
+                           "--groups", "0")
+        assert_one_error_line(code, err)
+        assert "groups must be >= 1" in err
+
 
 class TestFlops:
     def test_reference_total(self, capsys):
@@ -92,6 +103,19 @@ class TestBuild:
         assert code == 2
         assert "position" in err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--model", "2-MENet-1x1"], "residual_width must be >= 4"),
+        (["--model", "8-MENet-0x1"], "fusion_width must be >= 1"),
+        (["--model", "8-MENet-1x0.5"], "expansion_factor must be >= 1"),
+        (["--model", "8-MENet-1x1", "--num-classes", "1"],
+         "num_classes must be >= 2"),
+    ])
+    def test_out_of_range_setting_is_one_error_line(self, capsys, flags,
+                                                    message):
+        code, out, err = run(capsys, "build", *flags)
+        assert_one_error_line(code, err)
+        assert message in err and out == ""
+
 
 class TestGradcheck:
     def test_passes_both_modes(self, capsys):
@@ -101,6 +125,17 @@ class TestGradcheck:
             assert code == 0
             assert "pass" in out
 
+    @pytest.mark.parametrize("mode", ["product", "addition"])
+    def test_prints_absolute_margin(self, capsys, mode):
+        code, out, _ = run(capsys, "gradcheck", "--seed", "0",
+                           "--combine-mode", mode)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "module_max_rel_err 0.000e+00"
+        name, value = lines[1].split()
+        assert name == "module_max_abs_diff" and 0 < float(value) < 1e-7
+        assert lines[2] == "pass"
+
 
 class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path):
@@ -108,6 +143,21 @@ class TestConfigFile:
         p.write_text(json.dumps({"model": "228-MENet-12x1", "bogus": 1}))
         with pytest.raises(ValueError, match="bogus"):
             load_config(p)
+
+    def test_root_not_an_object_is_one_error_line(self, capsys, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(["228-MENet-12x1"]))
+        code, _, err = run(capsys, "build", "--config", str(p))
+        assert_one_error_line(code, err)
+        assert "JSON object" in err
+
+    def test_flip_augment_is_unknown_key(self, capsys, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"model": "8-MENet-1x1",
+                                 "flip_augment": True}))
+        code, _, err = run(capsys, "build", "--config", str(p))
+        assert_one_error_line(code, err)
+        assert "unknown config keys: ['flip_augment']" in err
 
     def test_flag_overrides_file(self, capsys, tmp_path):
         p = tmp_path / "c.json"
@@ -196,6 +246,31 @@ class TestTrainEvalRoundtrip:
                              str(data), "--weights", str(weights))
         assert code == 2 and "accuracy" not in out
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_archive_entry_not_in_network_is_one_error_line(self, capsys,
+                                                            tmp_path):
+        data, weights = tmp_path / "synth", tmp_path / "weights"
+        run(capsys, "make-synth", "--out", str(data), "--count", "8")
+        code, _, _ = run(capsys, "train", *DESK_FLAGS, "--dataset",
+                         str(data), "--epochs", "1", "--batch-size", "8",
+                         "--weights-out", str(weights))
+        assert code == 0
+        manifest_path = weights.with_suffix(".json")
+        manifest = json.loads(manifest_path.read_text())
+        manifest["params"].append({**manifest["params"][0],
+                                   "name": "stage9.0.pw1.weight"})
+        manifest_path.write_text(json.dumps(manifest))
+        code, out, err = run(capsys, "eval", *DESK_FLAGS, "--dataset",
+                             str(data), "--weights", str(weights))
+        assert_one_error_line(code, err)
+        assert "'stage9.0.pw1.weight' not in network" in err
+        assert "accuracy" not in out
+
+    def test_make_synth_empty_is_one_error_line(self, capsys, tmp_path):
+        code, out, err = run(capsys, "make-synth", "--out",
+                             str(tmp_path / "synth"), "--count", "0")
+        assert_one_error_line(code, err)
+        assert "dataset is empty" in err and "wrote" not in out
 
     def test_last_batch_too_small_is_one_error_line(self, capsys, tmp_path):
         data = tmp_path / "synth"

@@ -1,0 +1,49 @@
+"""CLI output frozen as files under ``tests/golden``.
+
+A change that keeps the numbers must keep these outputs byte for byte: the
+per-layer cost table of the three reference models (stored as SHA-256 of
+stdout), the README desk model's table in both combine modes and the
+connectivity report with its dependency-pattern check (stored as text).
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from menet.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+DESK_FLAGS = ["--model", "8-MENet-1x1", "--groups", "2",
+              "--stage-repeats", "1", "1", "1", "--stem-channels", "4",
+              "--no-stem-pool"]
+
+
+def stdout_of(capsys, *argv):
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("model,groups", [("228-MENet-12x1", 3),
+                                          ("256-MENet-12x1", 4),
+                                          ("352-MENet-12x1", 8)])
+def test_reference_model_flops_per_layer(capsys, model, groups):
+    out = stdout_of(capsys, "flops", "--model", model, "--groups",
+                    str(groups), "--per-layer")
+    digests = json.loads((GOLDEN / "flops_per_layer.sha256.json").read_text())
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == digests[f"{model} g{groups}"])
+
+
+@pytest.mark.parametrize("mode", ["product", "addition"])
+def test_desk_model_flops_per_layer(capsys, mode):
+    out = stdout_of(capsys, "flops", *DESK_FLAGS, "--combine-mode", mode,
+                    "--per-layer")
+    assert out == (GOLDEN / f"desk_flops_{mode}.txt").read_text()
+
+
+def test_analyze_pattern(capsys):
+    out = stdout_of(capsys, "analyze", "--channels", "9", "--groups", "3",
+                    "--pattern")
+    assert out == (GOLDEN / "analyze_9_3_pattern.txt").read_text()

@@ -277,7 +277,7 @@ class TestConv2d:
             net.zero_grad()
             logits = net.forward(x, train=True)
             grad_x = net.backward(np.ones_like(logits) / logits.size)
-            return logits, grad_x, dict(net.named_grads())
+            return logits, grad_x, net.grads
 
         logits, grad_x, grads = step()
         with monkeypatch.context() as m:
@@ -297,6 +297,12 @@ class TestConv2d:
         conv = Conv2d(4, 4, 1)
         with pytest.raises(ShapeError):
             conv.forward(np.zeros((1, 3, 2, 2)))
+        for kernel in (2, 5):
+            with pytest.raises(ValueError, match="kernel must be 1 or 3"):
+                Conv2d(4, 4, kernel)
+        for stride in (0, 3):
+            with pytest.raises(ValueError, match="stride must be 1 or 2"):
+                Conv2d(4, 4, 3, stride=stride)
 
 
 class TestBatchNorm:
@@ -324,6 +330,12 @@ class TestBatchNorm:
         x[0] = 0.0
         bn.forward(x, train=True)
         assert np.isclose(bn.running_mean[0], 0.1 * 5.0)
+
+    def test_channel_mismatch_rejected(self):
+        bn = BatchNorm2d(3)
+        for train in (True, False):
+            with pytest.raises(ShapeError, match="expected 3 channels, got 2"):
+                bn.forward(np.zeros((2, 2, 2, 2)), train=train)
 
     def test_single_element_train_rejected(self):
         bn = BatchNorm2d(1)
@@ -449,8 +461,10 @@ class TestLinear:
                 assert np.isclose(out[b, o], acc, rtol=0, atol=1e-15)
 
     def test_spatial_dims_must_be_one(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="1x1 spatial"):
             Linear(3, 2).forward(np.zeros((1, 3, 2, 2)))
+        with pytest.raises(ShapeError, match="expected 3 features, got 4"):
+            Linear(3, 2).forward(np.zeros((1, 4, 1, 1)))
 
 
 def test_backward_without_forward_rejected():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from menet.me_module import EvolutionOp, MEModule, MEModuleConfig, MergingOp
-from menet.tensor import ShapeError
+from menet.tensor import ShapeError, concat_channels, elementwise_combine
 
 
 def make(cfg, seed=0):
@@ -176,3 +176,114 @@ def test_layer_shapes_match_forward(combine_mode, downsample):
     assert {name: shape for name, _, shape in rows} == seen
     assert len(rows) == len(seen)
     assert out_shape == out.shape[1:]
+
+
+def test_backward_before_forward_rejected():
+    module = make(MEModuleConfig(8, 8, 2, 2))
+    with pytest.raises(RuntimeError, match="without a cached forward"):
+        module.backward(np.zeros((1, 8, 5, 5)))
+
+
+# The module's dataflow as it was written out by hand before it was read
+# from the four layer chains; frozen as the reference the chains must match
+# bit for bit.
+
+def reference_named_layers(m):
+    return {"pw1": m.pw1, "bn1": m.bn1, "dw": m.dw, "bn_dw": m.bn_dw,
+            "pw2": m.pw2, "bn2": m.bn2,
+            **m.merging.prefixed_layers("merge"),
+            **m.evolution.prefixed_layers("evo")}
+
+
+def reference_forward(m, x, train):
+    cfg = m.cfg
+    r = m.relu1.forward(m.bn1.forward(m.pw1.forward(x, train), train), train)
+    s = m.shuffle.forward(r, train)
+    d = m.bn_dw.forward(m.dw.forward(s, train), train)
+    f = m.evolution.forward(m.merging.forward(s, train), train)
+    comb = elementwise_combine(d, f, cfg.combine_mode)
+    res = m.bn2.forward(m.pw2.forward(comb, train), train)
+    if cfg.downsample:
+        ident = m.identity_pool.forward(x, train)
+        out = m.relu_final.forward(concat_channels(ident, res), train)
+    else:
+        out = m.relu_final.forward(x + res, train)
+    return out, (d, f)
+
+
+def reference_backward(m, cache, grad_out):
+    d, f = cache
+    cfg = m.cfg
+    g = m.relu_final.backward(grad_out)
+    if cfg.downsample:
+        g_ident = g[:, :cfg.in_channels]
+        g_res = g[:, cfg.in_channels:]
+        grad_x = m.identity_pool.backward(g_ident)
+    else:
+        g_res = g
+        grad_x = g.copy()
+    gc = m.pw2.backward(m.bn2.backward(g_res))
+    if cfg.combine_mode == "product":
+        g_d = gc * f
+        g_f = gc * d
+    else:
+        g_d = gc
+        g_f = gc
+    g_s = (m.dw.backward(m.bn_dw.backward(g_d))
+           + m.merging.backward(m.evolution.backward(g_f)))
+    g_r = m.shuffle.backward(g_s)
+    grad_x += m.pw1.backward(m.bn1.backward(m.relu1.backward(g_r)))
+    return grad_x
+
+
+def reference_layer_shapes(m, shape):
+    layers = reference_named_layers(m)
+    rows = []
+
+    def chain(names, s):
+        for name in names:
+            rows.append((name, layers[name], s))
+            s = layers[name].out_shape(s)
+        return s
+
+    s = chain(["pw1", "bn1"], shape)
+    chain([name for name in layers if "." in name], s)  # merge.*, evo.*
+    res = chain(["dw", "bn_dw", "pw2", "bn2"], s)
+    if not m.cfg.downsample:
+        return rows, res
+    ident = m.identity_pool.out_shape(shape)
+    return rows, (ident[0] + res[0],) + res[1:]
+
+
+@pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("downsample", [False, True], ids=["s1", "s2"])
+@pytest.mark.parametrize("combine_mode", ["product", "addition"])
+def test_chains_bit_identical_to_hand_wired_reference(combine_mode,
+                                                      downsample, train):
+    """The gradcheck-tiny variants: output, input gradient, every parameter
+    gradient, batch-norm running statistics and shape rows."""
+    cfg = MEModuleConfig(4 if downsample else 8, 8, 2, 2,
+                         downsample=downsample, combine_mode=combine_mode)
+    module, ref = make(cfg, seed=11), make(cfg, seed=11)
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(2, cfg.in_channels, 5, 5))
+    for _ in range(2):  # the second pass sees updated running statistics
+        out = module.forward(x, train)
+        ref_out, cache = reference_forward(ref, x, train)
+        assert np.array_equal(out, ref_out)
+        grad_out = rng.normal(size=out.shape)
+        assert np.array_equal(module.backward(grad_out),
+                              reference_backward(ref, cache, grad_out))
+    assert list(module.named_layers()) == list(reference_named_layers(ref))
+    assert list(module.grads) == list(ref.grads)
+    for name, g in module.grads.items():
+        assert np.array_equal(g, ref.grads[name]), name
+    for (name, bn), (_, ref_bn) in zip(module.batchnorms(), ref.batchnorms()):
+        assert np.array_equal(bn.running_mean, ref_bn.running_mean), name
+        assert np.array_equal(bn.running_var, ref_bn.running_var), name
+    rows, out_shape = module.layer_shapes(x.shape[1:])
+    ref_rows, ref_out_shape = reference_layer_shapes(ref, x.shape[1:])
+    assert out_shape == ref_out_shape
+    assert [(n, s) for n, _, s in rows] == [(n, s) for n, _, s in ref_rows]
+    layers = module.named_layers()
+    assert all(layer is layers[name] for name, layer, _ in rows)

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from menet.tensor import (
     ShapeError,
+    check_nchw,
     concat_channels,
     elementwise_combine,
 )
@@ -11,6 +12,16 @@ from menet.tensor import (
 
 def rand(shape, seed=0):
     return np.random.default_rng(seed).normal(size=shape)
+
+
+@pytest.mark.parametrize("shape,message", [
+    ((2, 3), "ndim=2"), ((1, 2, 3, 4, 5), "ndim=5"),
+    ((0, 2, 3, 3), "dimensions must be >= 1"),
+    ((1, 2, 3, 0), "dimensions must be >= 1"),
+])
+def test_check_nchw_rejects(shape, message):
+    with pytest.raises(ShapeError, match=message):
+        check_nchw(np.zeros(shape))
 
 
 class TestElementwiseCombine:

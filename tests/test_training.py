@@ -92,11 +92,13 @@ class TestSGD:
             def __init__(self):
                 self.p = np.array([1.0])
 
-            def named_params(self):
-                return [("layer.weight", self.p)]
+            @property
+            def params(self):
+                return {"layer.weight": self.p}
 
-            def named_grads(self):
-                return [("layer.weight", self._g)]
+            @property
+            def grads(self):
+                return {"layer.weight": self._g}
 
         net = OneParamNet()
         opt = SGD(lr=0.1, momentum=0.9, weight_decay=4e-5)
@@ -115,13 +117,9 @@ class TestSGD:
             def __init__(self):
                 self.w = np.array([2.0])
                 self.gamma = np.array([2.0])
-
-            def named_params(self):
-                return [("conv.weight", self.w), ("bn.gamma", self.gamma)]
-
-            def named_grads(self):
-                return [("conv.weight", np.zeros(1)),
-                        ("bn.gamma", np.zeros(1))]
+                self.params = {"conv.weight": self.w, "bn.gamma": self.gamma}
+                self.grads = {"conv.weight": np.zeros(1),
+                              "bn.gamma": np.zeros(1)}
 
         net = TwoParamNet()
         SGD(lr=1.0, momentum=0.0, weight_decay=0.1).step(net)
@@ -131,6 +129,16 @@ class TestSGD:
     def test_invalid_lr(self):
         with pytest.raises(ValueError):
             SGD(lr=0.0)
+
+    def test_gradient_shape_mismatch_rejected(self):
+        class MismatchedNet:
+            params = {"conv.weight": np.ones((2, 2))}
+            grads = {"conv.weight": np.ones(4)}
+
+        net = MismatchedNet()
+        with pytest.raises(ValueError, match="shape mismatch for conv.weight"):
+            SGD(lr=0.1).step(net)
+        assert np.array_equal(net.params["conv.weight"], np.ones((2, 2)))
 
 
 class TestSyntheticData:
@@ -166,6 +174,14 @@ class TestSyntheticData:
         data = make_synthetic_dataset(count=40, size=10, classes=10)
         for label in range(10):
             assert data.images[data.labels == label].max() >= 180
+
+    def test_empty_or_mismatched_labels_rejected(self):
+        with pytest.raises(ValueError, match="dataset is empty"):
+            Dataset(np.zeros((0, 1, 2, 2)), [], 2)
+        with pytest.raises(ValueError, match="matching labels"):
+            Dataset(np.zeros((2, 1, 2, 2)), [0], 2)
+        with pytest.raises(ValueError, match="matching labels"):
+            Dataset(np.zeros((2, 2, 2)), [0, 1], 2)
 
     def test_labels_checked_before_u8_cast(self):
         with pytest.raises(ValueError, match=r"\[0, 2\)"):
