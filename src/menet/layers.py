@@ -4,18 +4,26 @@ Each layer caches whatever the backward pass needs during forward. Backward
 returns the gradient w.r.t. the input and accumulates parameter gradients
 into ``self.grads`` (same keys as ``self.params``).
 
-Convolution is a shifted-window loop over (input channel within group,
-ky, kx) that works on all groups at once, through (n, groups, per-group,
-h, w) views: one depthwise layer is 9 loop steps, not 9 per channel. Each
-output element still adds its products in (input channel, ky, kx) order,
-as the naive reference in the test suite does, so the forward is
-bit-identical to it; each input-gradient element adds its taps in the same
-order. The weight gradient reproduces the rounding of numpy's
+Training runs the reference convolution, ``conv2d_raw`` and
+``conv2d_backward_raw``: a shifted-window loop over (input channel within
+group, ky, kx) that works on all groups at once, through (n, groups,
+per-group, h, w) views: one depthwise layer is 9 loop steps, not 9 per
+channel. Each output element still adds its products in (input channel,
+ky, kx) order, as the naive reference in the test suite does, so the
+forward is bit-identical to it; each input-gradient element adds its taps
+in the same order. The weight gradient reproduces the rounding of numpy's
 einsum("nohw,nhw->o") taken group by group, the kernel this one replaced
 (see ``conv2d_backward_raw``). The test suite keeps that per-group kernel
 as a frozen reference and checks the forward and both gradients against it
 with ``np.array_equal``, so a numpy whose einsum sums in another order
 fails there rather than shifting results silently.
+
+The eval forward is not bit-identical to the reference. Its convolutions
+run ``conv2d_gemm``, a BLAS matmul that sums in its own order, and its
+batch norm is one affine pass with the running statistics folded into a
+scale and a shift. The test suite holds ``conv2d_gemm`` to within 1e-12 of
+``conv2d_raw``, relative to the largest output, on every conv of the
+reference models.
 """
 
 import numpy as np
@@ -130,8 +138,11 @@ class Conv2d(Layer):
                 f"expected {self.in_channels} input channels, got {x.shape[1]}"
             )
         self._cache = x
-        return conv2d_raw(x, self.params["weight"], self.stride, self.pad,
-                          self.groups)
+        # training stays on the bit-identical reference kernel; this branch
+        # goes once ROADMAP 1(a)+(b) move training onto conv2d_gemm
+        kernel = conv2d_raw if train else conv2d_gemm
+        return kernel(x, self.params["weight"], self.stride, self.pad,
+                      self.groups)
 
     def backward(self, grad_out):
         x = self._need_cache()
@@ -173,6 +184,36 @@ def conv2d_raw(x, w, stride, pad, groups):
                 np.multiply(win[:, :, None],
                             wg[None, :, :, ci, ky, kx, None, None], out=prod)
                 out += prod
+    return out.reshape(n, cout, oh, ow)
+
+
+def conv2d_gemm(x, w, stride, pad, groups):
+    """The forward conv as one batched matmul of the weights, read as
+    (groups, out per group, in per group * k * k), with the input columns,
+    (n, groups, in per group * k * k, oh * ow). A 1x1 conv reads its input
+    as the columns, a view when the stride is 1; a 3x3 conv copies its
+    windows into them (im2col). Depthwise keeps ``conv2d_raw``: its columns
+    would be nine copies of the map for one multiply-add per tap. BLAS sums
+    in its own order, so results differ from ``conv2d_raw`` in the last
+    bits."""
+    n, cin, h, wd = x.shape
+    cout, cpg, k, _ = w.shape
+    if k > 1 and cpg == 1:
+        return conv2d_raw(x, w, stride, pad, groups)
+    oh = conv_out_size(h, k, stride, pad)
+    ow = conv_out_size(wd, k, stride, pad)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    if k == 1:
+        cols = xp[:, :, ::stride, ::stride]
+    else:
+        xg = xp.reshape(n, groups, cpg, *xp.shape[2:])
+        cols = np.empty((n, groups, cpg, k, k, oh, ow))
+        for ky in range(k):
+            for kx in range(k):
+                cols[:, :, :, ky, kx] = xg[:, :, :, ky:ky + stride * oh:stride,
+                                           kx:kx + stride * ow:stride]
+    cols = cols.reshape(n, groups, cpg * k * k, oh * ow)
+    out = np.matmul(w.reshape(groups, cout // groups, cpg * k * k), cols)
     return out.reshape(n, cout, oh, ow)
 
 
@@ -270,15 +311,21 @@ class BatchNorm2d(Layer):
             inv_std = 1.0 / np.sqrt(var + self.epsilon)
             xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
             self._cache = (xhat, inv_std, m)
-        else:
-            inv_std = 1.0 / np.sqrt(self.running_var + self.epsilon)
-            xhat = (x - self.running_mean[None, :, None, None]) \
-                * inv_std[None, :, None, None]
-            self._cache = (xhat, inv_std, None)
-        return gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+            return gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+        # eval: one affine pass; backward rebuilds xhat from the input
+        inv_std = 1.0 / np.sqrt(self.running_var + self.epsilon)
+        scale = gamma * inv_std
+        shift = beta - self.running_mean * scale
+        self._cache = (x, inv_std, None)
+        out = x * scale[None, :, None, None]
+        out += shift[None, :, None, None]
+        return out
 
     def backward(self, grad_out):
         xhat, inv_std, m = self._need_cache()
+        if m is None:
+            xhat = (xhat - self.running_mean[None, :, None, None]) \
+                * inv_std[None, :, None, None]
         gamma = self.params["gamma"]
         self.grads["gamma"] += (grad_out * xhat).sum(axis=(0, 2, 3))
         self.grads["beta"] += grad_out.sum(axis=(0, 2, 3))

@@ -160,7 +160,8 @@ def make_synthetic_dataset(count=64, size=8, channels=3, classes=2, seed=0):
 
 def train_loop(net: Network, data: Dataset, sched: Schedule, opt: SGD,
                epochs, seed=0, batch_size=32, log=None):
-    """Seed-deterministic SGD loop; returns [(epoch, lr, loss, accuracy)]."""
+    """Seed-deterministic SGD loop; returns [(epoch, lr, loss, accuracy)].
+    A step whose loss is not finite raises ``ValueError`` before its update."""
     x_all = data.as_float()
     if x_all.shape[1] != net.in_channels:
         raise ValueError(
@@ -181,6 +182,9 @@ def train_loop(net: Network, data: Dataset, sched: Schedule, opt: SGD,
             net.zero_grad()
             logits = net.forward(x_all[idx], train=True)
             loss, grad = cross_entropy(logits, yb)
+            if not np.isfinite(loss):
+                raise ValueError(
+                    f"loss is {loss} at epoch {epoch}, batch offset {start}")
             net.backward(grad)
             opt.step(net)
             losses.append(loss * len(idx))

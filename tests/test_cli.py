@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from menet import training
+from menet import builder, cli, training
 from menet.cli import _merged_settings, build_parser, load_config, main
 
 DESK_FLAGS = ["--model", "8-MENet-1x1", "--groups", "2",
@@ -320,6 +320,49 @@ class TestTrainEvalRoundtrip:
         assert [line.split()[:2] for line in out.splitlines()
                 if line.startswith("epoch")] == [["epoch", "0"],
                                                  ["epoch", "1"]]
+
+    def test_metrics_out_appends_epoch_lines(self, capsys, tmp_path):
+        data, metrics = tmp_path / "synth", tmp_path / "metrics.txt"
+        run(capsys, "make-synth", "--out", str(data), "--count", "8")
+        flags = ["train", *DESK_FLAGS, "--dataset", str(data),
+                 "--batch-size", "8", "--metrics-out", str(metrics)]
+        epoch_lines = []
+        for epochs in ("2", "1"):
+            code, out, _ = run(capsys, *flags, "--epochs", epochs)
+            assert code == 0
+            epoch_lines += [line for line in out.splitlines()
+                            if line.startswith("epoch")]
+        assert len(epoch_lines) == 3
+        assert metrics.read_text() == "".join(f"{line}\n"
+                                              for line in epoch_lines)
+
+    def test_non_finite_loss_is_one_error_line(self, capsys, tmp_path,
+                                               monkeypatch):
+        data, metrics = tmp_path / "synth", tmp_path / "metrics.txt"
+        run(capsys, "make-synth", "--out", str(data), "--count", "8")
+        build = builder.build_menet
+
+        def poisoned(cfg, seed=0):
+            net = build(cfg, seed=seed)
+            net.params["fc.weight"][0, 0] = float("nan")
+            return net
+
+        sinks = []
+
+        def recording_open(*args, **kwargs):
+            sinks.append(open(*args, **kwargs))
+            return sinks[-1]
+
+        monkeypatch.setattr(builder, "build_menet", poisoned)
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        code, out, err = run(capsys, "train", *DESK_FLAGS, "--dataset",
+                             str(data), "--epochs", "2", "--batch-size", "8",
+                             "--metrics-out", str(metrics))
+        assert_one_error_line(code, err)
+        assert "loss is nan at epoch 0, batch offset 0" in err
+        assert "epoch" not in out and "final_accuracy" not in out
+        assert len(sinks) == 1 and sinks[0].closed
+        assert metrics.read_text() == ""
 
     def test_missing_dataset_is_error(self, capsys):
         code, _, err = run(capsys, "train", "--model", "8-MENet-1x1",

@@ -63,6 +63,20 @@ def test_every_layer_kind(seed):
         assert err < LAYER_TOL, f"{type(layer).__name__}: {err:.2e}"
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_eval_mode_bn_with_running_statistics(seed):
+    # running statistics far from (0, 1), so the eval backward has to
+    # rebuild the normalized input, not reuse the raw one
+    rng = np.random.default_rng(2000 + seed)
+    bn = eval_mode_bn(3)
+    bn.params["gamma"][...] = rng.normal(size=3)
+    bn.params["beta"][...] = rng.normal(size=3)
+    bn.running_mean = rng.normal(0.0, 2.0, size=3)
+    bn.running_var = rng.uniform(0.2, 4.0, size=3)
+    err = gradcheck(bn, rng.normal(size=(2, 3, 4, 4)), seed=seed)
+    assert err < LAYER_TOL, f"{err:.2e}"
+
+
 def test_relu_smooth_region_tighter():
     rng = np.random.default_rng(42)
     x = rng.normal(size=(2, 3, 4, 4))

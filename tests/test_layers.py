@@ -15,6 +15,7 @@ from menet.layers import (
     ReLU,
     Sigmoid,
     conv2d_backward_raw,
+    conv2d_gemm,
     conv2d_raw,
 )
 from menet.me_module import MEModule, MEModuleConfig
@@ -110,6 +111,22 @@ def assert_matches_per_group(x, w, grad_out, stride, pad, groups):
     ref_x, ref_w = per_group_conv_backward(x, w, grad_out, stride, pad, groups)
     assert np.array_equal(grad_x, ref_x), f"grad_x, {case}"
     assert np.array_equal(grad_w, ref_w), f"grad_w, {case}"
+
+
+def assert_gemm_agrees(x, w, stride, pad, groups):
+    """Eval forward within 1e-12 of the reference kernel, relative to the
+    largest reference output; the train forward is the reference itself."""
+    case = f"x{x.shape} w{w.shape} stride {stride} groups {groups}"
+    ref = conv2d_raw(x, w, stride, pad, groups)
+    fast = conv2d_gemm(x, w, stride, pad, groups)
+    assert fast.shape == ref.shape, case
+    err = np.abs(fast - ref).max() / np.abs(ref).max()
+    assert err <= 1e-12, f"{err:.3g} rel, {case}"
+    cout, cpg, k, _ = w.shape
+    conv = Conv2d(cpg * groups, cout, k, stride=stride, groups=groups)
+    conv.params["weight"][...] = w
+    assert np.array_equal(conv.forward(x, train=True), ref), case
+    assert np.array_equal(conv.forward(x, train=False), fast), case
 
 
 def random_conv_case(rng, n, cin, cout, k, stride, groups, h, wd):
@@ -241,6 +258,37 @@ class TestConv2d:
                                                    stride, groups, h, wd)
             assert_matches_per_group(x, w, grad_out, stride, pad, groups)
 
+    @pytest.mark.parametrize("batch", [1, 2, 16])
+    @pytest.mark.parametrize("source", [
+        "228-MENet-12x1/g3", "256-MENet-12x1/g4", "352-MENet-12x1/g8",
+        "desk", "gradcheck-tiny",
+    ])
+    def test_model_convs_gemm_agrees_with_reference(self, source, batch):
+        rng = np.random.default_rng(8)
+        for cin, cout, k, stride, groups, h, wd in conv_configs(source):
+            x, w, _, pad = random_conv_case(rng, batch, cin, cout, k, stride,
+                                            groups, h, wd)
+            assert_gemm_agrees(x, w, stride, pad, groups)
+
+    def test_224_px_convs_gemm_agrees_with_reference(self):
+        rng = np.random.default_rng(8)
+        for cin, cout, k, stride, groups, h, wd in conv_configs(
+                "228-MENet-12x1/g3", size=224):
+            x, w, _, pad = random_conv_case(rng, 1, cin, cout, k, stride,
+                                            groups, h, wd)
+            assert_gemm_agrees(x, w, stride, pad, groups)
+
+    @pytest.mark.parametrize("cin,cout,k,stride,groups", [
+        (3, 5, 3, 1, 1), (4, 6, 3, 2, 2), (6, 6, 3, 1, 3), (6, 6, 1, 2, 3),
+    ])
+    def test_gemm_agrees_on_channel_slices(self, cin, cout, k, stride,
+                                           groups):
+        # grouped 3x3 and a non-contiguous input, which no model yields
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(2, 2 * cin, 7, 7))[:, cin:]
+        w = rng.normal(size=(cout, cin // groups, k, k))
+        assert_gemm_agrees(x, w, stride, k // 2, groups)
+
     @pytest.mark.parametrize("batch", [1, 2])
     @pytest.mark.parametrize("cin,cout,k,stride,groups", [
         (4, 4, 1, 1, 4), (4, 8, 1, 1, 2), (4, 4, 3, 1, 4), (4, 8, 1, 2, 2),
@@ -323,6 +371,21 @@ class TestBatchNorm:
         out = bn.forward(x, train=False)
         expected = 2.0 / np.sqrt(1 + 1e-5) + 3.0
         assert np.allclose(out, expected, atol=1e-12)
+
+    def test_eval_mode_matches_normalized_form(self):
+        rng = np.random.default_rng(10)
+        bn = BatchNorm2d(4)
+        bn.params["gamma"][...] = rng.normal(size=4)
+        bn.params["beta"][...] = rng.normal(size=4)
+        bn.running_mean = rng.normal(size=4)
+        bn.running_var = rng.uniform(0.5, 2.0, size=4)
+        x = rng.normal(size=(2, 4, 5, 5))
+        gamma, beta, mean, var = (a[:, None, None] for a in (
+            bn.params["gamma"], bn.params["beta"], bn.running_mean,
+            bn.running_var))
+        ref = gamma * (x - mean) / np.sqrt(var + bn.epsilon) + beta
+        out = bn.forward(x, train=False)
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_running_stats_update(self):
         bn = BatchNorm2d(1)

@@ -263,6 +263,30 @@ class TestTrainLoop:
             train_loop(net, data, sched, SGD(lr=0.05), epochs=1,
                        batch_size=1)
 
+    def test_non_finite_loss_names_epoch_and_batch(self):
+        # the classifier, because every conv feeds a ReLU, which maps NaN
+        # to 0, so a NaN conv weight never reaches the loss
+        class PoisonAfter(SGD):
+            """Sets one classifier weight to NaN after its third update."""
+            calls = 0
+
+            def step(self, net):
+                super().step(net)
+                self.calls += 1
+                if self.calls == 3:
+                    net.params["fc.weight"][0, 0] = np.nan
+
+        net = build_menet(tiny_config(), seed=1)
+        data = make_synthetic_dataset(count=16, size=8, classes=2, seed=0)
+        sched = Schedule(base_lr=0.05, step_epochs=30, total_epochs=30)
+        opt = PoisonAfter(lr=0.05)
+        # two batches an epoch: the fourth step is epoch 1, offset 8
+        with pytest.raises(ValueError, match="loss is nan at epoch 1, "
+                                             "batch offset 8"):
+            train_loop(net, data, sched, opt, epochs=3, batch_size=8)
+        assert opt.calls == 3
+        assert np.isnan(net.params["fc.weight"]).sum() == 1
+
     def test_last_batch_of_two_trains(self):
         net = build_menet(tiny_config(), seed=1)
         data = make_synthetic_dataset(count=18, size=8, classes=2, seed=0)
