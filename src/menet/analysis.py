@@ -161,15 +161,14 @@ def module_dependency_pattern(module: MEModule, include_fusion=True,
     return pattern
 
 
-def perturbation_pattern(module: MEModule, include_fusion=True, spatial=4,
-                         eps=1e-3):
+def perturbation_pattern(module: MEModule, include_fusion=True):
     """Numeric cross-check of ``module_dependency_pattern``.
 
     Overwrites the module's parameters: batch norms get gamma 1, beta 0,
     running mean 0 and variance 1 (in eval mode a positive per-channel scale,
     which cancels no perturbation), convs strictly positive weights. Runs the
-    bottleneck path in eval mode with each input channel perturbed upward in
-    turn and records which output channels change.
+    bottleneck path in eval mode on a 4x4 map with each input channel raised
+    by 1e-3 in turn and records which output channels change.
     """
     cfg = module.cfg
     b = cfg.bottleneck_channels
@@ -194,12 +193,12 @@ def perturbation_pattern(module: MEModule, include_fusion=True, spatial=4,
                                    cfg.combine_mode)
 
     rng = np.random.default_rng(7)
-    x = np.abs(rng.normal(1.0, 0.2, size=(1, b, spatial, spatial)))
+    x = np.abs(rng.normal(1.0, 0.2, size=(1, b, 4, 4)))
     base = path(x)
     pattern = np.zeros((b, b), dtype=bool)
     for i in range(b):
         xp = x.copy()
-        xp[:, i] += eps
+        xp[:, i] += 1e-3
         diff = np.abs(path(xp) - base).max(axis=(0, 2, 3))
         pattern[:, i] = diff > 0
     return pattern

@@ -110,14 +110,13 @@ class MENetConfig:
                 in_ch = out_ch
 
     def validate(self):
-        if self.residual_width < 4:
-            raise ValueError("residual_width must be >= 4")
-        if self.fusion_width < 1:
-            raise ValueError("fusion_width must be >= 1")
-        if self.expansion_factor < 1:
-            raise ValueError("expansion_factor must be >= 1")
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
+        for name, low in (("residual_width", 4), ("fusion_width", 1),
+                          ("expansion_factor", 1), ("num_classes", 2),
+                          ("input_size", 1), ("stem_channels", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
+        if min(self.stage_repeats, default=0) < 1:
+            raise ValueError("every stage_repeats entry must be >= 1")
         for _ in self.module_configs():
             pass
         return self

@@ -148,7 +148,6 @@ def cmd_train(args):
         raise ValueError("--dataset is required")
     data = serialization.load_dataset(settings["dataset"])
     settings.setdefault("num_classes", data.class_count)
-    settings.setdefault("input_size", data.images.shape[2])
     net = _desk_net(settings)
     sched = training.Schedule(
         base_lr=settings["base_lr"],
@@ -185,7 +184,6 @@ def cmd_eval(args):
     settings = _merged_settings(args)
     data = serialization.load_dataset(settings["dataset"])
     settings.setdefault("num_classes", data.class_count)
-    settings.setdefault("input_size", data.images.shape[2])
     net = _desk_net(settings)
     serialization.load_weights(net, args.weights)
     acc = training.evaluate(net, data)

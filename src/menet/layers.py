@@ -84,21 +84,15 @@ class Conv2d(Layer):
     optional channel groups and no bias (a batch norm follows every conv).
 
     Weights are shaped (out_channels, in_channels // groups, k, k).
-    ``depthwise=True`` is the g == in == out special case.
     """
 
     def __init__(self, in_channels, out_channels, kernel, stride=1,
-                 groups=1, depthwise=False, rng=None):
+                 groups=1, rng=None):
         super().__init__()
         if kernel not in (1, 3):
             raise ValueError(f"kernel must be 1 or 3, got {kernel}")
         if stride not in (1, 2):
             raise ValueError(f"stride must be 1 or 2, got {stride}")
-        if depthwise:
-            if not (groups == in_channels == out_channels):
-                raise ValueError(
-                    "depthwise requires groups == in_channels == out_channels"
-                )
         if in_channels % groups or out_channels % groups:
             raise ValueError(
                 f"channels ({in_channels}->{out_channels}) not divisible by "
@@ -110,7 +104,6 @@ class Conv2d(Layer):
         self.stride = stride
         self.pad = kernel // 2
         self.groups = groups
-        self.depthwise = depthwise
         wshape = (out_channels, in_channels // groups, kernel, kernel)
         if rng is None:
             w = np.zeros(wshape)
@@ -119,6 +112,12 @@ class Conv2d(Layer):
             std = np.sqrt(2.0 / (kernel * kernel * out_channels))
             w = rng.normal(0.0, std, size=wshape)
         self._register("weight", w)
+
+    @property
+    def depthwise(self):
+        """One input channel in each of several groups under a 3x3 kernel;
+        a one-channel 3x3 conv (a width-1 ``evo.conv_e``) counts as dense."""
+        return self.kernel == 3 and self.in_channels == self.groups > 1
 
     def out_shape(self, shape):
         _, h, w = shape
@@ -341,11 +340,11 @@ class BatchNorm2d(Layer):
 
 
 class ReLU(Layer):
-    """max(0, x); gradient at exactly 0 is defined as 0."""
+    """max(0, x), NaN kept; gradient at exactly 0 is defined as 0."""
 
     def forward(self, x, train=False):
         self._cache = x > 0
-        return np.where(self._cache, x, 0.0)
+        return np.maximum(x, 0.0)
 
     def backward(self, grad_out):
         mask = self._need_cache()

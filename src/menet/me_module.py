@@ -148,8 +148,7 @@ class MEModule(Composite):
         self.bn1 = BatchNorm2d(b)
         self.relu1 = ReLU()
         self.shuffle = ChannelShuffle(cfg.groups)
-        self.dw = Conv2d(b, b, 3, stride=stride, groups=b, depthwise=True,
-                         rng=rng)
+        self.dw = Conv2d(b, b, 3, stride=stride, groups=b, rng=rng)
         self.bn_dw = BatchNorm2d(b)
         self.merging = MergingOp(b, cfg.fusion_channels, rng=rng)
         self.evolution = EvolutionOp(cfg.fusion_channels, b, stride=stride,

@@ -1,17 +1,19 @@
-"""On-disk formats: weight archives and datasets.
+"""On-disk archives. Weights and datasets share one container, with one
+writer and one reader: a ``<base>.json`` manifest (``format``, ``version``,
+``dtype``, fields of its own, and each array's name, shape, byte offset,
+byte count and CRC32) and a ``<base>.bin`` blob of the arrays' raw
+little-endian values in that order. Before returning any array the reader
+checks format, version, dtype and names, each entry's bounds, checksum and
+byte count against its shape, and that the entries tile the blob.
 
-Weight archive: ``<base>.json`` manifest mapping parameter name to shape,
-dtype, byte offset, byte length and CRC32, plus ``<base>.bin`` holding the
-raw little-endian IEEE-754 float64 values in manifest order, so a round
-trip is lossless; the manifest's ``dtype`` is always "float64". Batch-norm
-running statistics are stored alongside learnable parameters so eval mode
-survives a round trip.
-
-Dataset: ``<base>.json`` manifest (count, channels, height, width,
-class_count) plus ``<base>.bin`` of u8 pixels followed by u8 labels.
+Weights: ``menet-weights`` v1, float64 (lossless), the parameters, then
+each batch norm's running statistics, so eval mode survives a round trip.
+Datasets: ``menet-dataset`` v2, uint8, with ``class_count``; ``images``
+(count, c, h, w), then ``labels`` (count,).
 """
 
 import json
+import math
 import zlib
 from pathlib import Path
 
@@ -20,7 +22,9 @@ import numpy as np
 from .network import Network
 from .training import Dataset
 
-_DTYPE = np.dtype("<f8")
+# format, version, dtype, what the archive is, what holds its arrays
+_WEIGHTS = ("menet-weights", 1, np.dtype("<f8"), "weight archive", "network")
+_DATASET = ("menet-dataset", 2, np.dtype("u1"), "dataset", "dataset")
 
 
 def _archive_entries(net: Network):
@@ -30,108 +34,104 @@ def _archive_entries(net: Network):
         yield f"{name}.running_var", bn.running_var
 
 
-def _read_manifest(base, kind, what):
-    """The ``<base>.json`` manifest, checked to be an object of ``kind``."""
-    manifest = json.loads(base.with_suffix(".json").read_text())
-    if not isinstance(manifest, dict) or manifest.get("format") != kind:
-        raise ValueError(f"not a {what} manifest")
-    return manifest
-
-
-def save_weights(net: Network, base):
-    """Write ``<base>.json`` + ``<base>.bin``; returns the manifest path."""
+def _write(base, kind, arrays, **fields):
+    """Write the (name, array) pairs ``arrays`` as ``<base>.bin`` and
+    ``<base>.json``; returns the manifest path."""
+    fmt, version, dtype, _, _ = kind
     base = Path(base)
-    manifest = {"format": "menet-weights", "version": 1, "dtype": "float64",
-                "params": []}
+    manifest = {"format": fmt, "version": version, "dtype": dtype.name,
+                **fields, "params": []}
     blob = bytearray()
-    for name, arr in _archive_entries(net):
-        raw = np.ascontiguousarray(arr, dtype=_DTYPE).tobytes()
+    for name, arr in arrays:
+        raw = np.ascontiguousarray(arr, dtype=dtype).tobytes()
         manifest["params"].append({
-            "name": name,
-            "shape": list(arr.shape),
-            "offset": len(blob),
-            "nbytes": len(raw),
-            "crc32": zlib.crc32(raw),
-        })
+            "name": name, "shape": list(arr.shape), "offset": len(blob),
+            "nbytes": len(raw), "crc32": zlib.crc32(raw)})
         blob += raw
     base.parent.mkdir(parents=True, exist_ok=True)
-    (base.with_suffix(".bin")).write_bytes(bytes(blob))
+    base.with_suffix(".bin").write_bytes(bytes(blob))
     manifest_path = base.with_suffix(".json")
     manifest_path.write_text(json.dumps(manifest, indent=1))
     return manifest_path
 
 
-def load_weights(net: Network, base):
-    """Load an archive into ``net``, verifying layout and checksums; every
-    entry is checked before any array is written."""
+def _read(base, kind, shapes):
+    """The manifest and {name: array} of a ``kind`` archive holding exactly
+    the names of ``shapes``, in the shapes they map to (None: any)."""
+    fmt, version, dtype, what, holder = kind
     base = Path(base)
-    manifest = _read_manifest(base, "menet-weights", "weight archive")
-    if manifest.get("dtype") != "float64":
+    manifest = json.loads(base.with_suffix(".json").read_text())
+    if not isinstance(manifest, dict) or manifest.get("format") != fmt:
+        raise ValueError(f"not a {what} manifest")
+    if manifest.get("version") != version:
+        raise ValueError(f"{fmt} version {manifest.get('version')!r} cannot "
+                         f"be read, only version {version}")
+    if manifest.get("dtype") != dtype.name:
         raise ValueError(f"unknown archive dtype {manifest.get('dtype')!r}, "
-                         "expected 'float64'")
-    blob = base.with_suffix(".bin").read_bytes()
-    targets = dict(_archive_entries(net))
+                         f"expected {dtype.name!r}")
     archived = {entry["name"] for entry in manifest["params"]}
-    missing = [name for name in targets if name not in archived]
+    missing = [name for name in shapes if name not in archived]
     if missing:
         raise ValueError(
-            f"archive lacks {len(missing)} of the network's {len(targets)} "
+            f"archive lacks {len(missing)} of the {holder}'s {len(shapes)} "
             f"arrays, first {missing[0]!r}")
-    loaded = []
+    unknown = [e["name"] for e in manifest["params"] if e["name"] not in shapes]
+    if unknown:
+        raise KeyError(f"archive parameter {unknown[0]!r} not in {holder}")
+    blob = memoryview(base.with_suffix(".bin").read_bytes())  # slices copy nothing
+    arrays, spans = {}, []
     for entry in manifest["params"]:
         name = entry["name"]
-        if name not in targets:
-            raise KeyError(f"archive parameter {name!r} not in network")
         start, stop = entry["offset"], entry["offset"] + entry["nbytes"]
         if start < 0:
             raise ValueError(f"negative offset {start} for {name}")
         raw = blob[start:stop]
         if len(raw) != entry["nbytes"]:
-            raise ValueError(f"blob truncated at {name}")
+            raise ValueError(f"blob truncated at {name}: {len(raw)} of "
+                             f"{entry['nbytes']} bytes")
         if zlib.crc32(raw) != entry["crc32"]:
             raise ValueError(f"checksum mismatch for {name}")
-        target = targets[name]
-        if (tuple(entry["shape"]) != target.shape
-                or len(raw) != target.size * _DTYPE.itemsize):
+        shape = tuple(entry["shape"])
+        want = shape if shapes[name] is None else shapes[name]
+        if shape != want or len(raw) != math.prod(shape) * dtype.itemsize:
             raise ValueError(
                 f"shape mismatch for {name}: archive {entry['shape']} in "
-                f"{len(raw)} bytes vs network {list(target.shape)}")
-        loaded.append((start, stop, target,
-                       np.frombuffer(raw, dtype=_DTYPE).reshape(target.shape)))
-    loaded.sort(key=lambda item: item[:2])
-    for (_, stop, _, _), (start, _, _, _) in zip(loaded, loaded[1:]):
+                f"{len(raw)} bytes vs {holder} {list(want)}")
+        arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape)
+        spans.append((start, stop))
+    spans.sort()
+    for (_, stop), (start, _) in zip(spans, spans[1:]):
         if start < stop:
             raise ValueError("overlapping offsets in archive manifest")
-    for _, _, target, arr in loaded:
-        target[...] = arr
+    covered = sum(stop - start for start, stop in spans)
+    if covered != len(blob):
+        raise ValueError(f"blob has {len(blob)} bytes, entries cover {covered}")
+    return manifest, arrays
+
+
+def save_weights(net: Network, base):
+    """Write ``<base>.json`` + ``<base>.bin``; returns the manifest path."""
+    return _write(base, _WEIGHTS, _archive_entries(net))
+
+
+def load_weights(net: Network, base):
+    """Load an archive into ``net``; every check passes before any array
+    is written."""
+    targets = dict(_archive_entries(net))
+    _, arrays = _read(base, _WEIGHTS,
+                      {name: arr.shape for name, arr in targets.items()})
+    for name, arr in arrays.items():
+        targets[name][...] = arr
     return net
 
 
 def save_dataset(data: Dataset, base):
-    base = Path(base)
-    count, channels, height, width = data.images.shape
-    manifest = {"format": "menet-dataset", "version": 1, "count": count,
-                "channels": channels, "height": height, "width": width,
-                "class_count": data.class_count}
-    base.parent.mkdir(parents=True, exist_ok=True)
-    blob = data.images.tobytes() + data.labels.tobytes()
-    base.with_suffix(".bin").write_bytes(blob)
-    manifest_path = base.with_suffix(".json")
-    manifest_path.write_text(json.dumps(manifest, indent=1))
-    return manifest_path
+    return _write(base, _DATASET,
+                  [("images", data.images), ("labels", data.labels)],
+                  class_count=data.class_count)
 
 
 def load_dataset(base) -> Dataset:
-    base = Path(base)
-    manifest = _read_manifest(base, "menet-dataset", "dataset")
-    count = manifest["count"]
-    shape = (count, manifest["channels"], manifest["height"],
-             manifest["width"])
-    blob = base.with_suffix(".bin").read_bytes()
-    n_pixels = int(np.prod(shape))
-    if len(blob) != n_pixels + count:
-        raise ValueError(
-            f"dataset blob has {len(blob)} bytes, expected {n_pixels + count}")
-    images = np.frombuffer(blob[:n_pixels], dtype=np.uint8).reshape(shape)
-    labels = np.frombuffer(blob[n_pixels:], dtype=np.uint8)
-    return Dataset(images.copy(), labels.copy(), manifest["class_count"])
+    manifest, arrays = _read(base, _DATASET, {"images": None, "labels": None})
+    return Dataset(arrays["images"], arrays["labels"],
+                   manifest.get("class_count"))

@@ -7,6 +7,7 @@ epochs, momentum 0.9, weight decay 4e-5) are kept as the "paper" preset;
 the desk preset shrinks batch and epoch counts for CPU runs.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +94,9 @@ class SGD:
 # ---------------------------------------------------------------------------
 
 def _check_class_count(classes):
-    """Labels are stored as u8, so at most 256 classes."""
+    """An integer; labels are stored as u8, so at most 256 classes."""
+    if not isinstance(classes, numbers.Integral):
+        raise ValueError(f"class_count must be an integer, got {classes!r}")
     if classes > 256:
         raise ValueError(
             f"class_count {classes} does not fit u8 labels (at most 256)")
@@ -107,9 +110,10 @@ class Dataset:
 
     def __post_init__(self):
         _check_class_count(self.class_count)
+        self.class_count = int(self.class_count)  # JSON takes no numpy int
         images = np.asarray(self.images)
         labels = np.asarray(self.labels)
-        if images.ndim != 4 or len(labels) != len(images):
+        if images.ndim != 4 or labels.shape != (len(images),):
             raise ValueError("images must be (count, c, h, w) with matching labels")
         if len(images) == 0:
             raise ValueError("dataset is empty")
@@ -132,24 +136,24 @@ class Dataset:
         return self.images.astype(np.float64) / 127.5 - 1.0
 
 
-def make_synthetic_dataset(count=64, size=8, channels=3, classes=2, seed=0):
-    """Linearly separable toy set: each class lights up its own vertical
-    band, plus mild noise. Every class needs a band at least one pixel
-    wide, so ``classes`` may not exceed ``size``."""
+def make_synthetic_dataset(count=64, size=8, classes=2, seed=0):
+    """Linearly separable toy set of RGB images: each class lights up its
+    own vertical band, plus mild noise. Every class needs a band at least
+    one pixel wide, so ``classes`` may not exceed ``size``."""
     _check_class_count(classes)
     if classes > size:
         raise ValueError(
             f"{classes} classes need images at least {classes} px wide "
             f"(one band column per class), got size {size}")
     rng = np.random.default_rng(seed)
-    images = rng.integers(0, 60, size=(count, channels, size, size),
+    images = rng.integers(0, 60, size=(count, 3, size, size),
                           dtype=np.uint8)
     labels = np.arange(count) % classes
     band = max(1, size // classes)
     for i, lab in enumerate(labels):
         x0 = int(lab) * band
         images[i, :, :, x0:x0 + band] = rng.integers(
-            180, 255, size=(channels, size, band), dtype=np.uint8)
+            180, 255, size=(3, size, band), dtype=np.uint8)
     perm = rng.permutation(count)
     return Dataset(images[perm], labels[perm], classes)
 

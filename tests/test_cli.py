@@ -109,6 +109,16 @@ class TestBuild:
         (["--model", "8-MENet-1x0.5"], "expansion_factor must be >= 1"),
         (["--model", "8-MENet-1x1", "--num-classes", "1"],
          "num_classes must be >= 2"),
+        (["--model", "228-MENet-12x1", "--input-size", "0"],
+         "input_size must be >= 1"),
+        (["--model", "228-MENet-12x1", "--input-size", "-5"],
+         "input_size must be >= 1"),
+        (["--model", "8-MENet-1x1", "--stem-channels", "0"],
+         "stem_channels must be >= 1"),
+        (["--model", "8-MENet-1x1", "--stage-repeats", "0", "1", "1"],
+         "every stage_repeats entry must be >= 1"),
+        (["--model", "8-MENet-1x1", "--stage-repeats", "1", "1", "-2"],
+         "every stage_repeats entry must be >= 1"),
     ])
     def test_out_of_range_setting_is_one_error_line(self, capsys, flags,
                                                     message):
@@ -307,6 +317,42 @@ class TestTrainEvalRoundtrip:
         assert code == 2 and "accuracy" not in out
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "manifest" in err
+
+    @staticmethod
+    def _desk_archives(capsys, tmp_path):
+        """A desk dataset and the weights of one epoch on it."""
+        data, weights = tmp_path / "synth", tmp_path / "weights"
+        run(capsys, "make-synth", "--out", str(data), "--count", "8")
+        code, _, _ = run(capsys, "train", *DESK_FLAGS, "--dataset",
+                         str(data), "--epochs", "1", "--batch-size", "8",
+                         "--weights-out", str(weights))
+        assert code == 0
+        return data, {"train": ["--epochs", "1", "--batch-size", "8"],
+                      "eval": ["--weights", str(weights)]}
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("offset, name", [(0, "images"), (-1, "labels")])
+    def test_flipped_dataset_bit_is_one_error_line(self, capsys, tmp_path,
+                                                    command, offset, name):
+        data, flags = self._desk_archives(capsys, tmp_path)
+        blob = bytearray(data.with_suffix(".bin").read_bytes())
+        blob[offset] ^= 1
+        data.with_suffix(".bin").write_bytes(bytes(blob))
+        code, out, err = run(capsys, command, *DESK_FLAGS, "--dataset",
+                             str(data), *flags[command])
+        assert_one_error_line(code, err)
+        assert f"checksum mismatch for {name}" in err and out == ""
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_v1_dataset_is_one_error_line(self, capsys, tmp_path, command):
+        data, flags = self._desk_archives(capsys, tmp_path)
+        data.with_suffix(".json").write_text(json.dumps({
+            "format": "menet-dataset", "version": 1, "count": 8,
+            "channels": 3, "height": 8, "width": 8, "class_count": 2}))
+        code, out, err = run(capsys, command, *DESK_FLAGS, "--dataset",
+                             str(data), *flags[command])
+        assert_one_error_line(code, err)
+        assert "menet-dataset version 1" in err and out == ""
 
     def test_train_defaults_come_from_desk_preset(self, capsys, tmp_path,
                                                   monkeypatch):

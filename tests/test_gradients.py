@@ -35,8 +35,7 @@ def layer_cases(seed):
     rng = np.random.default_rng(seed)
     yield Conv2d(3, 4, 3, stride=1, rng=rng), (2, 3, 5, 5)
     yield Conv2d(4, 6, 1, groups=2, rng=rng), (2, 4, 4, 4)
-    yield Conv2d(4, 4, 3, stride=2, groups=4, depthwise=True,
-                 rng=rng), (2, 4, 6, 6)
+    yield Conv2d(4, 4, 3, stride=2, groups=4, rng=rng), (2, 4, 6, 6)
     yield BatchNorm2d(3), (3, 3, 4, 4)
     yield eval_mode_bn(2), (2, 2, 3, 3)
     yield ReLU(), (2, 3, 4, 4)

@@ -184,8 +184,16 @@ class TestConv2d:
         x = np.random.default_rng(0).normal(size=(2, c, 5, 5))
         assert np.array_equal(conv.forward(x), x)
 
+    def test_depthwise_is_derived(self):
+        assert Conv2d(2, 2, 3, groups=2).depthwise
+        assert Conv2d(8, 8, 3, stride=2, groups=8).depthwise
+        # a one-channel 3x3 conv, as a width-1 evo.conv_e is, counts as dense
+        assert not Conv2d(1, 1, 3).depthwise
+        assert not Conv2d(4, 4, 1, groups=4).depthwise
+        assert not Conv2d(4, 8, 3, groups=2).depthwise
+
     def test_depthwise_ones_counts_taps(self):
-        conv = Conv2d(2, 2, 3, groups=2, depthwise=True)
+        conv = Conv2d(2, 2, 3, groups=2)
         conv.params["weight"][...] = 1.0
         x = np.ones((1, 2, 5, 5))
         out = conv.forward(x)
@@ -340,8 +348,6 @@ class TestConv2d:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             Conv2d(5, 4, 1, groups=2)
-        with pytest.raises(ValueError):
-            Conv2d(4, 6, 1, groups=4, depthwise=True)
         conv = Conv2d(4, 4, 1)
         with pytest.raises(ShapeError):
             conv.forward(np.zeros((1, 3, 2, 2)))
@@ -411,6 +417,12 @@ class TestActivations:
         x = np.array([-1.0, 0.0, 2.0]).reshape(1, 3, 1, 1)
         out = ReLU().forward(x)
         assert out.reshape(-1).tolist() == [0.0, 0.0, 2.0]
+
+    def test_relu_keeps_nan_and_positive_zero(self):
+        x = np.array([np.nan, -0.0, -np.inf, np.inf]).reshape(1, 4, 1, 1)
+        out = ReLU().forward(x).reshape(-1)
+        assert np.isnan(out[0]) and out[1:].tolist() == [0.0, 0.0, np.inf]
+        assert not np.signbit(out[1])
 
     def test_sigmoid_symmetry_and_saturation(self):
         s = Sigmoid()
@@ -543,10 +555,8 @@ SHAPE_CASES = [
     ("pw_grouped", 2, lambda s: Conv2d(4, 6, 1, stride=s, groups=2)),
     ("conv3x3", 1, lambda s: Conv2d(4, 5, 3, stride=s)),
     ("conv3x3", 2, lambda s: Conv2d(4, 5, 3, stride=s)),
-    ("depthwise", 1, lambda s: Conv2d(4, 4, 3, stride=s, groups=4,
-                                      depthwise=True)),
-    ("depthwise", 2, lambda s: Conv2d(4, 4, 3, stride=s, groups=4,
-                                      depthwise=True)),
+    ("depthwise", 1, lambda s: Conv2d(4, 4, 3, stride=s, groups=4)),
+    ("depthwise", 2, lambda s: Conv2d(4, 4, 3, stride=s, groups=4)),
     ("bn", None, lambda s: BatchNorm2d(4)),
     ("relu", None, lambda s: ReLU()),
     ("sigmoid", None, lambda s: Sigmoid()),

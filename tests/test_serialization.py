@@ -1,7 +1,9 @@
 """Weight-archive and dataset round-trips."""
 
+import hashlib
 import json
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from menet.serialization import (
     save_dataset,
     save_weights,
 )
-from menet.training import make_synthetic_dataset
+from menet.training import Dataset, make_synthetic_dataset
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def tiny_net(seed=0):
@@ -22,6 +26,21 @@ def tiny_net(seed=0):
                       stage_repeats=[1, 1, 1], stem_channels=4, num_classes=2,
                       input_size=8, stem_pool=False)
     return build_menet(cfg, seed=seed)
+
+
+def arange_tiny_net():
+    """``tiny_net`` with every archived array set from one running
+    ``arange``, so its archive does not depend on the RNG."""
+    net = tiny_net()
+    arrays = list(net.params.values())
+    for _, bn in net.batchnorms():
+        arrays += [bn.running_mean, bn.running_var]
+    start = 0
+    for arr in arrays:
+        arr[...] = (np.arange(start, start + arr.size) / 7.0 - 3.0).reshape(
+            arr.shape)
+        start += arr.size
+    return net
 
 
 def snapshot(net):
@@ -196,45 +215,149 @@ class TestWeightArchive:
 
 
 # one manifest field and a new value for it: an entry's offset, byte count,
-# checksum, shape or name, or the archive's dtype
-MUTATIONS = st.one_of(
-    st.tuples(st.sampled_from(["offset", "nbytes", "crc32"]),
-              st.integers(-2 ** 40, 2 ** 40)),
-    st.tuples(st.just("shape"), st.lists(st.integers(0, 40), max_size=4)),
-    st.tuples(st.just("name"),
-              st.one_of(st.sampled_from(TINY_ARCHIVE_ORDER), st.text())),
-    st.tuples(st.just("dtype"),
-              st.one_of(st.sampled_from(["float32", "float16", "<f8"]),
-                        st.text())),
-)
+# checksum, shape or name, or the archive's dtype or version
+def mutations(names):
+    return st.one_of(
+        st.tuples(st.sampled_from(["offset", "nbytes", "crc32"]),
+                  st.integers(-2 ** 40, 2 ** 40)),
+        st.tuples(st.just("shape"), st.lists(st.integers(0, 40), max_size=4)),
+        st.tuples(st.just("name"),
+                  st.one_of(st.sampled_from(names), st.text())),
+        st.tuples(st.just("dtype"),
+                  st.one_of(st.sampled_from(["float64", "float32", "float16",
+                                             "<f8", "uint8", "u1"]),
+                            st.text())),
+        st.tuples(st.just("version"),
+                  st.one_of(st.integers(-3, 3), st.floats(), st.text(),
+                            st.none())),
+    )
+
+
+DATASET_NAMES = ["images", "labels"]
+# the fuzzed dataset's labels run up to 2, so every class count below 3,
+# above 256 or not an integer contradicts its data
+BAD_CLASS_COUNTS = st.one_of(
+    st.integers(-2 ** 40, 2), st.integers(257, 2 ** 40), st.floats(),
+    st.text(), st.none(), st.booleans())
+ARCHIVE_FIELDS = {"dtype", "version", "class_count"}
 
 
 @pytest.fixture(scope="module")
-def saved_archive(tmp_path_factory):
-    base = tmp_path_factory.mktemp("fuzz") / "w"
-    save_weights(tiny_net(seed=3), base)
-    return base, json.loads(base.with_suffix(".json").read_text())
+def archives(tmp_path_factory):
+    """A saved weight archive ("w") and dataset ("d"): kind -> (base,
+    manifest, blob)."""
+    root = tmp_path_factory.mktemp("fuzz")
+    save_weights(tiny_net(seed=3), root / "w")
+    save_dataset(make_synthetic_dataset(count=24, size=6, classes=3, seed=5),
+                 root / "d")
+    return {kind: (root / kind,
+                   json.loads((root / kind).with_suffix(".json").read_text()),
+                   (root / kind).with_suffix(".bin").read_bytes())
+            for kind in ("w", "d")}
 
 
-@given(mutation=MUTATIONS, index=st.integers(0, len(TINY_ARCHIVE_ORDER) - 1))
-@settings(max_examples=150, deadline=None)
-def test_fuzzed_manifest_fails_cleanly(saved_archive, mutation, index):
-    """Any one changed manifest field fails the load with ValueError or
-    KeyError, and the network keeps every array it had."""
-    base, manifest = saved_archive
-    field, value = mutation
+def write_archive(base, manifest, blob):
+    base.with_suffix(".json").write_text(json.dumps(manifest))
+    base.with_suffix(".bin").write_bytes(blob)
+
+
+def with_field(manifest, field, value, index):
+    """A copy of ``manifest`` with ``field`` of the archive, or of entry
+    ``index``, set to ``value``; hypothesis skips a value already there."""
     manifest = json.loads(json.dumps(manifest))
-    holder = manifest if field == "dtype" else manifest["params"][index]
+    holder = manifest if field in ARCHIVE_FIELDS else manifest["params"][index]
     assume(holder[field] != value)
     holder[field] = value
-    base.with_suffix(".json").write_text(json.dumps(manifest))
+    return manifest
+
+
+def load(kind, base, net):
+    return load_weights(net, base) if kind == "w" else load_dataset(base)
+
+
+def assert_load_fails(kind, base):
+    """Loading raises ValueError or KeyError; a weight load leaves the
+    network with every array it had."""
     net = tiny_net(seed=9)
     before = snapshot(net)
     with pytest.raises((ValueError, KeyError)):
-        load_weights(net, base)
+        load(kind, base, net)
     after = snapshot(net)
     for name in before:
         assert np.array_equal(before[name], after[name]), name
+
+
+@given(mutation=mutations(TINY_ARCHIVE_ORDER),
+       index=st.integers(0, len(TINY_ARCHIVE_ORDER) - 1))
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_manifest_fails_cleanly(archives, mutation, index):
+    """Any one changed weight-manifest field fails the load cleanly."""
+    base, manifest, blob = archives["w"]
+    write_archive(base, with_field(manifest, *mutation, index), blob)
+    assert_load_fails("w", base)
+
+
+@given(mutation=st.one_of(mutations(DATASET_NAMES),
+                          st.tuples(st.just("class_count"),
+                                    BAD_CLASS_COUNTS)),
+       index=st.integers(0, 1))
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_dataset_manifest_fails_cleanly(archives, mutation, index):
+    """Any one changed dataset-manifest field fails the load cleanly."""
+    base, manifest, blob = archives["d"]
+    field, value = mutation
+    if field == "shape" and index == 0:
+        # (24, c, h, w) with c * h * w = 108 is a valid manifest of other
+        # images in the same bytes, which no check can tell apart
+        assume(len(value) != 4 or value[0] != 24
+               or np.prod(value) != 24 * 3 * 6 * 6)
+    write_archive(base, with_field(manifest, field, value, index), blob)
+    assert_load_fails("d", base)
+
+
+# one blob edit: cut bytes off the end, append bytes, or flip one bit
+BLOB_EDITS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(1, 2 ** 16)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=64)),
+    st.tuples(st.just("flip"), st.integers(0, 2 ** 31), st.integers(0, 7)),
+)
+
+
+def edit_blob(blob, edit):
+    if edit[0] == "truncate":
+        return blob[:-min(edit[1], len(blob))]
+    if edit[0] == "extend":
+        return blob + edit[1]
+    flipped = bytearray(blob)
+    flipped[edit[1] % len(blob)] ^= 1 << edit[2]
+    return bytes(flipped)
+
+
+@pytest.mark.parametrize("kind", ["w", "d"])
+@given(edit=BLOB_EDITS)
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_blob_fails_cleanly(archives, kind, edit):
+    """A truncated, extended or bit-flipped blob of either kind fails the
+    load cleanly."""
+    base, manifest, blob = archives[kind]
+    write_archive(base, manifest, edit_blob(blob, edit))
+    assert_load_fails(kind, base)
+
+
+def test_archive_bytes_are_frozen(tmp_path):
+    """A weight archive of fixed arrays keeps its bytes, checked as the
+    SHA-256 of both files."""
+    save_weights(arange_tiny_net(), tmp_path / "w")
+    golden = json.loads((GOLDEN / "tiny_net_archive.sha256.json").read_text())
+    for suffix in ("json", "bin"):
+        data = (tmp_path / f"w.{suffix}").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == golden[suffix], suffix
+
+
+def flip_bit(path, offset):
+    blob = bytearray(path.read_bytes())
+    blob[offset] ^= 0x10
+    path.write_bytes(bytes(blob))
 
 
 class TestDataset:
@@ -245,6 +368,23 @@ class TestDataset:
         assert np.array_equal(back.images, data.images)
         assert np.array_equal(back.labels, data.labels)
         assert back.class_count == data.class_count
+
+    def test_numpy_integer_class_count_saved(self, tmp_path):
+        data = make_synthetic_dataset(count=4, size=2, classes=2, seed=6)
+        data = Dataset(data.images, data.labels, np.int64(2))
+        save_dataset(data, tmp_path / "d")
+        assert load_dataset(tmp_path / "d").class_count == 2
+
+    def test_manifest_contents(self, tmp_path):
+        data = make_synthetic_dataset(count=4, size=2, classes=2, seed=6)
+        manifest = json.loads(save_dataset(data, tmp_path / "d").read_text())
+        assert {k: manifest[k] for k in ("format", "version", "dtype",
+                                         "class_count")} == {
+            "format": "menet-dataset", "version": 2, "dtype": "uint8",
+            "class_count": 2}
+        assert [(e["name"], e["shape"], e["offset"], e["nbytes"])
+                for e in manifest["params"]] == [
+            ("images", [4, 3, 2, 2], 0, 48), ("labels", [4], 48, 4)]
 
     def test_blob_layout_pixels_then_labels(self, tmp_path):
         data = make_synthetic_dataset(count=4, size=2, classes=2, seed=6)
@@ -261,3 +401,31 @@ class TestDataset:
         (tmp_path / "d.bin").write_bytes(blob[:-3])
         with pytest.raises(ValueError, match="bytes"):
             load_dataset(tmp_path / "d")
+
+    @pytest.mark.parametrize("offset, name", [(0, "images"), (47, "images"),
+                                              (48, "labels"), (51, "labels")])
+    def test_flipped_bit_detected(self, tmp_path, offset, name):
+        data = make_synthetic_dataset(count=4, size=2, seed=7)
+        save_dataset(data, tmp_path / "d")
+        flip_bit(tmp_path / "d.bin", offset)
+        with pytest.raises(ValueError, match=f"checksum mismatch for {name}"):
+            load_dataset(tmp_path / "d")
+
+    def test_v1_manifest_names_its_version(self, tmp_path):
+        data = make_synthetic_dataset(count=4, size=2, seed=7)
+        (tmp_path / "d.json").write_text(json.dumps({
+            "format": "menet-dataset", "version": 1, "count": 4,
+            "channels": 3, "height": 2, "width": 2, "class_count": 2}))
+        (tmp_path / "d.bin").write_bytes(data.images.tobytes()
+                                         + data.labels.tobytes())
+        with pytest.raises(ValueError, match="menet-dataset version 1"):
+            load_dataset(tmp_path / "d")
+
+
+@pytest.mark.parametrize("kind", ["w", "d"])
+def test_extended_blob_detected(archives, kind):
+    base, manifest, blob = archives[kind]
+    write_archive(base, manifest, blob + bytes(16))
+    with pytest.raises(ValueError, match=f"blob has {len(blob) + 16} bytes, "
+                                         f"entries cover {len(blob)}"):
+        load(kind, base, tiny_net())

@@ -182,6 +182,13 @@ class TestSyntheticData:
             Dataset(np.zeros((2, 1, 2, 2)), [0], 2)
         with pytest.raises(ValueError, match="matching labels"):
             Dataset(np.zeros((2, 2, 2)), [0, 1], 2)
+        with pytest.raises(ValueError, match="matching labels"):
+            Dataset(np.zeros((2, 1, 2, 2)), [[0], [1]], 2)
+
+    @pytest.mark.parametrize("classes", ["2", 2.5, 2.0, None])
+    def test_non_integer_class_count_rejected(self, classes):
+        with pytest.raises(ValueError, match="class_count must be an integer"):
+            Dataset(np.zeros((2, 1, 2, 2)), [0, 1], classes)
 
     def test_labels_checked_before_u8_cast(self):
         with pytest.raises(ValueError, match=r"\[0, 2\)"):
@@ -241,7 +248,8 @@ class TestTrainLoop:
 
     def test_channel_mismatch_rejected(self):
         net = build_menet(tiny_config(), seed=0)
-        data = make_synthetic_dataset(count=8, size=8, channels=1, seed=0)
+        rgb = make_synthetic_dataset(count=8, size=8, seed=0)
+        data = Dataset(rgb.images[:, :1], rgb.labels, rgb.class_count)
         sched = Schedule(total_epochs=30)
         with pytest.raises(ValueError):
             train_loop(net, data, sched, SGD(), epochs=1)
@@ -264,8 +272,7 @@ class TestTrainLoop:
                        batch_size=1)
 
     def test_non_finite_loss_names_epoch_and_batch(self):
-        # the classifier, because every conv feeds a ReLU, which maps NaN
-        # to 0, so a NaN conv weight never reaches the loss
+        # a NaN set between two updates is caught at the next step
         class PoisonAfter(SGD):
             """Sets one classifier weight to NaN after its third update."""
             calls = 0
@@ -286,6 +293,16 @@ class TestTrainLoop:
             train_loop(net, data, sched, opt, epochs=3, batch_size=8)
         assert opt.calls == 3
         assert np.isnan(net.params["fc.weight"]).sum() == 1
+
+    def test_nan_backbone_weight_reaches_loss_guard(self):
+        # every conv feeds a ReLU, which must pass the NaN on
+        net = build_menet(tiny_config(), seed=1)
+        net.params["stage3.0.pw1.weight"][0, 0, 0, 0] = np.nan
+        data = make_synthetic_dataset(count=16, size=8, classes=2, seed=0)
+        sched = Schedule(base_lr=0.05, step_epochs=30, total_epochs=30)
+        with pytest.raises(ValueError, match="loss is nan at epoch 0, "
+                                             "batch offset 0"):
+            train_loop(net, data, sched, SGD(lr=0.05), epochs=4, batch_size=8)
 
     def test_last_batch_of_two_trains(self):
         net = build_menet(tiny_config(), seed=1)
