@@ -34,6 +34,8 @@ class ConnectivityReport:
 
 
 def _check_cg(channels, groups):
+    if channels < 1:
+        raise ValueError(f"channels must be >= 1, got {channels}")
     if groups < 1:
         raise ValueError(f"groups must be >= 1, got {groups}")
     if channels % groups:

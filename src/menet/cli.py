@@ -32,6 +32,10 @@ def load_config(path):
     unknown = set(cfg) - CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    presets = sorted(training.PRESETS)
+    if "preset" in cfg and cfg["preset"] not in presets:
+        raise ValueError(f"unknown preset {cfg['preset']!r}; valid presets: "
+                         f"{', '.join(presets)}")
     return cfg
 
 

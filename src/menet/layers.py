@@ -73,10 +73,21 @@ def conv_out_size(size, k, stride, pad):
     return (size + 2 * pad - k) // stride + 1
 
 
-def _pooled_shape(shape):
-    """Output shape of a 3x3, stride-2, pad-1 pooling window."""
-    c, h, w = shape
-    return (c, conv_out_size(h, 3, 2, 1), conv_out_size(w, 3, 2, 1))
+def _windows(x, k, stride, pad, fill=0.0):
+    """The strided k x k windows of an NCHW map padded by ``pad`` with
+    ``fill``: the padded map, (oh, ow), and for each tap in (ky, kx) order
+    ``(ky, kx, rows, cols)``, the slices of the padded map's last two axes
+    that the tap reads for every output position."""
+    h, w = x.shape[-2:]
+    oh = conv_out_size(h, k, stride, pad)
+    ow = conv_out_size(w, k, stride, pad)
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
+                   constant_values=fill)
+    taps = [(ky, kx, slice(ky, ky + stride * oh, stride),
+             slice(kx, kx + stride * ow, stride))
+            for ky in range(k) for kx in range(k)]
+    return x, (oh, ow), taps
 
 
 class Conv2d(Layer):
@@ -165,24 +176,19 @@ def _rows_join(a):
 
 
 def conv2d_raw(x, w, stride, pad, groups):
-    n, cin, h, wd = x.shape
+    n = x.shape[0]
     cout, cpg, k, _ = w.shape
-    oh = conv_out_size(h, k, stride, pad)
-    ow = conv_out_size(wd, k, stride, pad)
     opg = cout // groups
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    xp, (oh, ow), taps = _windows(x, k, stride, pad)
     xg = xp.reshape(n, groups, cpg, *xp.shape[2:])
     wg = w.reshape(groups, opg, cpg, k, k)
     out = np.zeros((n, groups, opg, oh, ow))
     prod = np.empty_like(out)
     for ci in range(cpg):
-        for ky in range(k):
-            for kx in range(k):
-                win = xg[:, :, ci, ky:ky + stride * oh:stride,
-                         kx:kx + stride * ow:stride]
-                np.multiply(win[:, :, None],
-                            wg[None, :, :, ci, ky, kx, None, None], out=prod)
-                out += prod
+        for ky, kx, rows, cols in taps:
+            np.multiply(xg[:, :, ci, None, rows, cols],
+                        wg[None, :, :, ci, ky, kx, None, None], out=prod)
+            out += prod
     return out.reshape(n, cout, oh, ow)
 
 
@@ -195,33 +201,28 @@ def conv2d_gemm(x, w, stride, pad, groups):
     would be nine copies of the map for one multiply-add per tap. BLAS sums
     in its own order, so results differ from ``conv2d_raw`` in the last
     bits."""
-    n, cin, h, wd = x.shape
+    n = x.shape[0]
     cout, cpg, k, _ = w.shape
     if k > 1 and cpg == 1:
         return conv2d_raw(x, w, stride, pad, groups)
-    oh = conv_out_size(h, k, stride, pad)
-    ow = conv_out_size(wd, k, stride, pad)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    xp, (oh, ow), taps = _windows(x, k, stride, pad)
     if k == 1:
-        cols = xp[:, :, ::stride, ::stride]
+        columns = xp[:, :, ::stride, ::stride]
     else:
         xg = xp.reshape(n, groups, cpg, *xp.shape[2:])
-        cols = np.empty((n, groups, cpg, k, k, oh, ow))
-        for ky in range(k):
-            for kx in range(k):
-                cols[:, :, :, ky, kx] = xg[:, :, :, ky:ky + stride * oh:stride,
-                                           kx:kx + stride * ow:stride]
-    cols = cols.reshape(n, groups, cpg * k * k, oh * ow)
-    out = np.matmul(w.reshape(groups, cout // groups, cpg * k * k), cols)
+        columns = np.empty((n, groups, cpg, k, k, oh, ow))
+        for ky, kx, rows, cols in taps:
+            columns[:, :, :, ky, kx] = xg[:, :, :, rows, cols]
+    columns = columns.reshape(n, groups, cpg * k * k, oh * ow)
+    out = np.matmul(w.reshape(groups, cout // groups, cpg * k * k), columns)
     return out.reshape(n, cout, oh, ow)
 
 
 def conv2d_backward_raw(x, w, grad_out, stride, pad, groups):
-    n, cin, h, wd = x.shape
+    n, _, h, wd = x.shape
     cout, cpg, k, _ = w.shape
-    oh, ow = grad_out.shape[2:]
     opg = cout // groups
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    xp, (oh, ow), taps = _windows(x, k, stride, pad)
     xg = xp.reshape(n, groups, cpg, *xp.shape[2:])
     gxg = np.zeros_like(xg)
     wg = w.reshape(groups, opg, cpg, k, k)
@@ -236,8 +237,8 @@ def conv2d_backward_raw(x, w, grad_out, stride, pad, groups):
     # einsum takes the run sums and np.add.accumulate adds them in order.
     # einsum's iterator splits a run longer than its buffer in a way not
     # modelled here, so such maps run the per-group einsum itself.
-    win0 = xg[:, :, 0, :stride * oh:stride, :stride * ow:stride]
-    rows_join = _rows_join(go) and _rows_join(win0)
+    _, _, rows0, cols0 = taps[0]
+    rows_join = _rows_join(go) and _rows_join(xg[:, :, 0, rows0, cols0])
     if (oh * ow if rows_join else ow) > _EINSUM_BUFSIZE:
         runs = None
     elif groups == 1 or (opg > 1 and n > 1):
@@ -245,29 +246,21 @@ def conv2d_backward_raw(x, w, grad_out, stride, pad, groups):
     else:
         runs = "n" if rows_join else "nh"
     for ci in range(cpg):
-        for ky in range(k):
-            for kx in range(k):
-                hsl = slice(ky, ky + stride * oh, stride)
-                wsl = slice(kx, kx + stride * ow, stride)
-                win = xg[:, :, ci, hsl, wsl]
-                if runs is None:
-                    for g in range(groups):
-                        gw[g, :, ci, ky, kx] += np.einsum(
-                            "nohw,nhw->o", go[:, g], win[:, g])
-                else:
-                    sums = np.einsum(f"ngohw,nghw->go{runs}", go, win)
-                    if runs:
-                        sums = np.add.accumulate(
-                            sums.reshape(groups, opg, -1), axis=-1)[..., -1]
-                    gw[:, :, ci, ky, kx] += sums
-                np.einsum("ngohw,go->nghw", go, wg[:, :, ci, ky, kx],
-                          out=gx_tap)
-                gxg[:, :, ci, hsl, wsl] += gx_tap
-    gxp = gxg.reshape(xp.shape)
-    if pad:
-        grad_x = gxp[:, :, pad:-pad, pad:-pad]
-    else:
-        grad_x = gxp
+        for ky, kx, rows, cols in taps:
+            win = xg[:, :, ci, rows, cols]
+            if runs is None:
+                for g in range(groups):
+                    gw[g, :, ci, ky, kx] += np.einsum(
+                        "nohw,nhw->o", go[:, g], win[:, g])
+            else:
+                sums = np.einsum(f"ngohw,nghw->go{runs}", go, win)
+                if runs:
+                    sums = np.add.accumulate(
+                        sums.reshape(groups, opg, -1), axis=-1)[..., -1]
+                gw[:, :, ci, ky, kx] += sums
+            np.einsum("ngohw,go->nghw", go, wg[:, :, ci, ky, kx], out=gx_tap)
+            gxg[:, :, ci, rows, cols] += gx_tap
+    grad_x = gxg.reshape(xp.shape)[:, :, pad:pad + h, pad:pad + wd]
     return grad_x, gw.reshape(w.shape)
 
 
@@ -372,6 +365,8 @@ class ChannelShuffle(Layer):
     @staticmethod
     def permutation(channels, groups):
         """Output-position -> input-channel index map."""
+        if channels < 1:
+            raise ShapeError(f"channels must be >= 1, got {channels}")
         if channels % groups:
             raise ShapeError(f"channels={channels} not divisible by groups={groups}")
         n = channels // groups
@@ -391,67 +386,55 @@ class ChannelShuffle(Layer):
         return grad_out[:, inv]
 
 
-class MaxPool3x3s2(Layer):
-    """3x3 max pooling, stride 2, pad 1 (halves spatial dims, ceil)."""
+class _Pool3x3s2(Layer):
+    """3x3 pooling window, stride 2, pad 1 (halves spatial dims, ceil)."""
 
     def out_shape(self, shape):
-        return _pooled_shape(shape)
+        c, h, w = shape
+        return (c, conv_out_size(h, 3, 2, 1), conv_out_size(w, 3, 2, 1))
+
+
+class MaxPool3x3s2(_Pool3x3s2):
+    """3x3 max pooling; a window's gradient goes to its first maximal tap."""
 
     def forward(self, x, train=False):
         check_nchw(x)
-        n, c = x.shape[:2]
-        _, oh, ow = self.out_shape(x.shape[1:])
-        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)),
-                    constant_values=-np.inf)
-        out = np.full((n, c, oh, ow), -np.inf)
-        for ky in range(3):
-            for kx in range(3):
-                win = xp[:, :, ky:ky + 2 * oh:2, kx:kx + 2 * ow:2]
-                np.maximum(out, win, out=out)
-        self._cache = (x.shape, xp, out)
+        xp, (oh, ow), taps = _windows(x, 3, 2, 1, fill=-np.inf)
+        out = np.full((*x.shape[:2], oh, ow), -np.inf)
+        for _, _, rows, cols in taps:
+            np.maximum(out, xp[:, :, rows, cols], out=out)
+        self._cache = (xp, out, taps)
         return out
 
     def backward(self, grad_out):
-        shape, xp, out = self._need_cache()
-        oh, ow = out.shape[2:]
+        xp, out, taps = self._need_cache()
         gxp = np.zeros_like(xp)
         claimed = np.zeros_like(out, dtype=bool)
-        for ky in range(3):
-            for kx in range(3):
-                hsl = slice(ky, ky + 2 * oh, 2)
-                wsl = slice(kx, kx + 2 * ow, 2)
-                win = xp[:, :, hsl, wsl]
-                hit = (win == out) & ~claimed
-                claimed |= hit
-                gxp[:, :, hsl, wsl] += np.where(hit, grad_out, 0.0)
+        for _, _, rows, cols in taps:
+            hit = (xp[:, :, rows, cols] == out) & ~claimed
+            claimed |= hit
+            gxp[:, :, rows, cols] += np.where(hit, grad_out, 0.0)
         return gxp[:, :, 1:-1, 1:-1]
 
 
-class AvgPool3x3s2(Layer):
-    """3x3 average pooling, stride 2, pad 1; padded taps count (divide by 9)."""
-
-    def out_shape(self, shape):
-        return _pooled_shape(shape)
+class AvgPool3x3s2(_Pool3x3s2):
+    """3x3 average pooling; padded taps count (divide by 9)."""
 
     def forward(self, x, train=False):
         check_nchw(x)
-        n, c = x.shape[:2]
-        _, oh, ow = self.out_shape(x.shape[1:])
-        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        out = np.zeros((n, c, oh, ow))
-        for ky in range(3):
-            for kx in range(3):
-                out += xp[:, :, ky:ky + 2 * oh:2, kx:kx + 2 * ow:2]
+        xp, (oh, ow), taps = _windows(x, 3, 2, 1)
+        out = np.zeros((*x.shape[:2], oh, ow))
+        for _, _, rows, cols in taps:
+            out += xp[:, :, rows, cols]
         out /= 9.0
-        self._cache = (x.shape, (oh, ow))
+        self._cache = (xp.shape, taps)
         return out
 
     def backward(self, grad_out):
-        shape, (oh, ow) = self._need_cache()
-        gxp = np.zeros((shape[0], shape[1], shape[2] + 2, shape[3] + 2))
-        for ky in range(3):
-            for kx in range(3):
-                gxp[:, :, ky:ky + 2 * oh:2, kx:kx + 2 * ow:2] += grad_out
+        shape, taps = self._need_cache()
+        gxp = np.zeros(shape)
+        for _, _, rows, cols in taps:
+            gxp[:, :, rows, cols] += grad_out
         return gxp[:, :, 1:-1, 1:-1] / 9.0
 
 

@@ -166,6 +166,9 @@ def train_loop(net: Network, data: Dataset, sched: Schedule, opt: SGD,
                epochs, seed=0, batch_size=32, log=None):
     """Seed-deterministic SGD loop; returns [(epoch, lr, loss, accuracy)].
     A step whose loss is not finite raises ``ValueError`` before its update."""
+    for name, value in (("epochs", epochs), ("batch_size", batch_size)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     x_all = data.as_float()
     if x_all.shape[1] != net.in_channels:
         raise ValueError(

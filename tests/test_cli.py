@@ -35,6 +35,13 @@ class TestShuffleDemo:
         _, b, _ = run(capsys, "shuffle-demo", "--channels", "12", "--groups", "4")
         assert a == b
 
+    @pytest.mark.parametrize("channels", ["0", "-4"])
+    def test_channels_below_one_is_error(self, capsys, channels):
+        code, out, err = run(capsys, "shuffle-demo", "--channels", channels,
+                             "--groups", "2")
+        assert_one_error_line(code, err)
+        assert f"channels must be >= 1, got {channels}" in err and out == ""
+
 
 class TestAnalyze:
     def test_reference_numbers(self, capsys):
@@ -69,6 +76,13 @@ class TestAnalyze:
                            "--groups", "0")
         assert_one_error_line(code, err)
         assert "groups must be >= 1" in err
+
+    @pytest.mark.parametrize("channels", ["0", "-3"])
+    def test_channels_below_one_is_error(self, capsys, channels):
+        code, out, err = run(capsys, "analyze", "--channels", channels,
+                             "--groups", "3")
+        assert_one_error_line(code, err)
+        assert f"channels must be >= 1, got {channels}" in err and out == ""
 
 
 class TestFlops:
@@ -153,6 +167,16 @@ class TestConfigFile:
         p.write_text(json.dumps({"model": "228-MENet-12x1", "bogus": 1}))
         with pytest.raises(ValueError, match="bogus"):
             load_config(p)
+
+    def test_unknown_preset_rejected(self, capsys, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"model": "8-MENet-1x1", "preset": "fast"}))
+        message = "unknown preset 'fast'; valid presets: desk, paper"
+        with pytest.raises(ValueError, match=message):
+            load_config(p)
+        code, out, err = run(capsys, "build", "--config", str(p))
+        assert_one_error_line(code, err)
+        assert message in err and out == ""
 
     def test_root_not_an_object_is_one_error_line(self, capsys, tmp_path):
         p = tmp_path / "c.json"
@@ -293,6 +317,20 @@ class TestTrainEvalRoundtrip:
         assert code == 2 and "epoch" not in out
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "33 samples at batch size 16 leave a last batch of 1" in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--epochs", "0"), ("--epochs", "-1"),
+        ("--batch-size", "0"), ("--batch-size", "-4")])
+    def test_epochs_or_batch_size_below_one_is_one_error_line(
+            self, capsys, tmp_path, flag, value):
+        data = tmp_path / "synth"
+        run(capsys, "make-synth", "--out", str(data), "--count", "8")
+        flags = {"--epochs": "1", "--batch-size": "8", flag: value}
+        code, out, err = run(capsys, "train", *DESK_FLAGS, "--dataset",
+                             str(data), *[a for kv in flags.items() for a in kv])
+        assert_one_error_line(code, err)
+        name = flag[2:].replace("-", "_")
+        assert f"{name} must be >= 1, got {value}" in err and out == ""
 
     def test_make_synth_more_classes_than_pixels_is_error(self, capsys,
                                                          tmp_path):

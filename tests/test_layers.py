@@ -503,6 +503,64 @@ class TestPooling:
         assert np.isclose(out[0, 0, 0, 0], 4.0 / 9.0)   # corner
         assert np.isclose(out[0, 0, 1, 1], 1.0)          # interior
 
+    @staticmethod
+    def naive_pool(x, grad_out, is_max):
+        """Per-window 3x3/s2/pad-1 pooling loop: output and input gradient.
+        Max sends each window's gradient to its first maximal tap in (ky, kx)
+        order. The gradient of each input element adds its windows' shares
+        in the tap order the layers use, so the result is exact to the bit."""
+        n, c = x.shape[:2]
+        oh, ow = grad_out.shape[2:]
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)),
+                    constant_values=-np.inf if is_max else 0.0)
+        taps = [(ky, kx) for ky in range(3) for kx in range(3)]
+        out = np.empty((n, c, oh, ow))
+        first = {}
+        for b in range(n):
+            for ch in range(c):
+                for i in range(oh):
+                    for j in range(ow):
+                        vals = [xp[b, ch, 2 * i + ky, 2 * j + kx]
+                                for ky, kx in taps]
+                        acc = -np.inf if is_max else 0.0
+                        for v in vals:
+                            acc = max(acc, v) if is_max else acc + v
+                        out[b, ch, i, j] = acc if is_max else acc / 9.0
+                        first[b, ch, i, j] = (taps[vals.index(acc)]
+                                              if is_max else None)
+        gxp = np.zeros_like(xp)
+        for ky, kx in taps:
+            for (b, ch, i, j), tap in first.items():
+                if not is_max or tap == (ky, kx):
+                    gxp[b, ch, 2 * i + ky, 2 * j + kx] += grad_out[b, ch, i, j]
+        gx = gxp[:, :, 1:-1, 1:-1]
+        return out, gx if is_max else gx / 9.0
+
+    @pytest.mark.parametrize("size", [6, 7])
+    @pytest.mark.parametrize("pool", [MaxPool3x3s2, AvgPool3x3s2])
+    def test_pool_matches_naive_loop_bit_for_bit(self, pool, size):
+        rng = np.random.default_rng(size)
+        x = rng.normal(size=(2, 3, size, size))
+        # tied maxima, as after a ReLU: the windows of output rows 1-2,
+        # columns 0-1 read nothing but zeros and padding
+        x[0, 1, 1:6, :4] = 0.0
+        layer = pool()
+        out = layer.forward(x)
+        grad_out = rng.normal(size=out.shape)
+        grad_x = layer.backward(grad_out)
+        ref_out, ref_grad = self.naive_pool(x, grad_out,
+                                            pool is MaxPool3x3s2)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(grad_x, ref_grad)
+
+    def test_max_pool_tied_window_sends_gradient_once(self):
+        # one window over a 2x2 zero map: the gradient goes to its first
+        # tap in (ky, kx) order that holds the maximum, input (0, 0)
+        pool = MaxPool3x3s2()
+        pool.forward(np.zeros((1, 1, 2, 2)))
+        grad_x = pool.backward(np.full((1, 1, 1, 1), 3.0))
+        assert grad_x[0, 0].tolist() == [[3.0, 0.0], [0.0, 0.0]]
+
     def test_pool_halves_table_spatial_trace(self):
         for size, expect in [(56, 28), (28, 14), (14, 7)]:
             x = np.zeros((1, 1, size, size))
