@@ -17,7 +17,7 @@ import numpy as np
 from .layers import ChannelShuffle, Conv2d
 from .me_module import MEModule
 from .network import Network
-from .tensor import elementwise_combine
+from .tensor import check_groups, elementwise_combine
 
 
 # ---------------------------------------------------------------------------
@@ -33,20 +33,10 @@ class ConnectivityReport:
     lost_ratio: Fraction
 
 
-def _check_cg(channels, groups):
-    if channels < 1:
-        raise ValueError(f"channels must be >= 1, got {channels}")
-    if groups < 1:
-        raise ValueError(f"groups must be >= 1, got {groups}")
-    if channels % groups:
-        raise ValueError(
-            f"channels={channels} not divisible by groups={groups}")
-
-
 def connectivity_formula(channels, groups):
     """Closed-form inter-group connection counts for two consecutive grouped
     layers of ``channels`` channels linked by a channel shuffle."""
-    _check_cg(channels, groups)
+    check_groups(channels, groups)
     c, g = channels, groups
     if g == 1:
         return ConnectivityReport(c, g, Fraction(0), Fraction(0), Fraction(0))
@@ -71,7 +61,7 @@ def connectivity_bruteforce(channels, groups):
     shuffle permutation (``connectivity_realized``) reproduces it exactly
     whenever G divides C/G, i.e. the shuffle distributes groups evenly.
     """
-    _check_cg(channels, groups)
+    check_groups(channels, groups)
     c, g = channels, groups
     n = c // g
     n_total = Fraction(sum(
@@ -94,7 +84,7 @@ def connectivity_realized(channels, groups):
     """Inter-group connection count under the realized shuffle permutation:
     for each second-layer channel, count the source channels in its shuffled
     group whose original group differs from the channel's own."""
-    _check_cg(channels, groups)
+    check_groups(channels, groups)
     c, g = channels, groups
     n = c // g
     n_total = connectivity_bruteforce(c, g).n_total
@@ -118,12 +108,10 @@ def connectivity_realized(channels, groups):
 
 def grouped_conv_pattern(in_channels, out_channels, groups):
     """Boolean (out, in) matrix: output channel o reads input channel i."""
-    m = np.zeros((out_channels, in_channels), dtype=bool)
-    ipg = in_channels // groups
-    opg = out_channels // groups
-    for a in range(groups):
-        m[a * opg:(a + 1) * opg, a * ipg:(a + 1) * ipg] = True
-    return m
+    check_groups(in_channels, groups, "in_channels")
+    check_groups(out_channels, groups, "out_channels")
+    block = np.ones((out_channels // groups, in_channels // groups), dtype=bool)
+    return np.kron(np.eye(groups, dtype=bool), block)
 
 
 def shuffle_pattern(channels, groups):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import analysis, builder, serialization, training
 from .layers import ChannelShuffle
-from .me_module import MEModule, MEModuleConfig
+from .me_module import COMBINE_MODES, MEModule, MEModuleConfig
 
 CONFIG_KEYS = {
     "model", "groups", "stage_repeats", "num_classes", "input_size",
@@ -204,7 +204,7 @@ def _add_model_flags(p):
     p.add_argument("--no-stem-pool", dest="stem_pool", action="store_false",
                    default=None)
     p.add_argument("--combine-mode", dest="combine_mode",
-                   choices=["product", "addition"])
+                   choices=COMBINE_MODES)
     p.add_argument("--stage-repeats", dest="stage_repeats", type=int,
                    nargs="+")
     p.add_argument("--config", help="JSON config file")
@@ -243,7 +243,7 @@ def build_parser():
     p = sub.add_parser("gradcheck", help="finite-difference check of a tiny module")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--combine-mode", dest="combine_mode", default="product",
-                   choices=["product", "addition"])
+                   choices=COMBINE_MODES)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("train", help="train on a dataset")

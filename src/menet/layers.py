@@ -28,7 +28,7 @@ reference models.
 
 import numpy as np
 
-from .tensor import ShapeError, check_nchw
+from .tensor import ShapeError, check_groups, check_nchw
 
 
 class Layer:
@@ -104,11 +104,8 @@ class Conv2d(Layer):
             raise ValueError(f"kernel must be 1 or 3, got {kernel}")
         if stride not in (1, 2):
             raise ValueError(f"stride must be 1 or 2, got {stride}")
-        if in_channels % groups or out_channels % groups:
-            raise ValueError(
-                f"channels ({in_channels}->{out_channels}) not divisible by "
-                f"groups={groups}"
-            )
+        check_groups(in_channels, groups, "in_channels")
+        check_groups(out_channels, groups, "out_channels")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
@@ -365,12 +362,8 @@ class ChannelShuffle(Layer):
     @staticmethod
     def permutation(channels, groups):
         """Output-position -> input-channel index map."""
-        if channels < 1:
-            raise ShapeError(f"channels must be >= 1, got {channels}")
-        if channels % groups:
-            raise ShapeError(f"channels={channels} not divisible by groups={groups}")
-        n = channels // groups
-        return np.arange(channels).reshape(groups, n).T.reshape(-1)
+        check_groups(channels, groups)
+        return np.arange(channels).reshape(groups, -1).T.reshape(-1)
 
     def forward(self, x, train=False):
         check_nchw(x)

@@ -21,7 +21,7 @@ the elementwise combine and the skip are written out by hand.
 
 from dataclasses import dataclass
 
-from .tensor import concat_channels, elementwise_combine
+from .tensor import check_groups, concat_channels, elementwise_combine
 from .layers import (
     AvgPool3x3s2,
     BatchNorm2d,
@@ -65,32 +65,24 @@ class MEModuleConfig:
             (c.fusion_channels >= 1, "fusion_channels must be >= 1"),
             (c.fusion_channels <= b,
              "fusion_channels must not exceed bottleneck width"),
-            (c.groups >= 1, "groups must be >= 1"),
-            (b % c.groups == 0,
-             f"bottleneck width {b} not divisible by groups={c.groups} "
-             "(channel shuffle / second pointwise)"),
             (c.combine_mode in COMBINE_MODES,
              f"combine_mode must be one of {COMBINE_MODES}"),
         ]
-        if c.first_pointwise_grouped:
-            rules.append((
-                c.in_channels % c.groups == 0,
-                f"in_channels {c.in_channels} not divisible by groups="
-                f"{c.groups} (grouped first pointwise)"))
         if c.downsample:
             rules.append((c.out_channels > c.in_channels,
                           "downsampling module needs out_channels > in_channels"))
-        rules.append((
-            c.residual_out_channels % c.groups == 0,
-            f"residual output width {c.residual_out_channels} not divisible "
-            f"by groups={c.groups}"))
-        if not c.downsample:
+        else:
             rules.append((c.in_channels == c.out_channels,
                           "standard module needs in_channels == out_channels "
                           "for the identity skip"))
         for ok, msg in rules:
             if not ok:
                 raise ValueError(f"invalid module config: {msg}")
+        # the shuffle and second pointwise split the bottleneck into groups
+        check_groups(b, c.groups, "bottleneck width")
+        if c.first_pointwise_grouped:
+            check_groups(c.in_channels, c.groups, "in_channels")
+        check_groups(c.residual_out_channels, c.groups, "residual output width")
         return self
 
 
@@ -120,6 +112,9 @@ class EvolutionOp(Chain):
 
     def __init__(self, fusion_channels, match_channels, stride=1,
                  combine_mode="product", rng=None):
+        if combine_mode not in COMBINE_MODES:
+            raise ValueError(f"combine_mode must be one of {COMBINE_MODES}, "
+                             f"got {combine_mode!r}")
         self.conv_e = Conv2d(fusion_channels, fusion_channels, 3, stride=stride,
                              rng=rng)
         self.bn_e = BatchNorm2d(fusion_channels)

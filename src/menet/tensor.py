@@ -20,6 +20,16 @@ def check_nchw(x):
         raise ShapeError(f"all dimensions must be >= 1, got {x.shape}")
 
 
+def check_groups(channels, groups, what="channels"):
+    """``channels`` split into ``groups`` equal groups, as grouped convs and
+    the channel shuffle need; ``what`` names the channel count."""
+    for name, value in ((what, channels), ("groups", groups)):
+        if value < 1:
+            raise ShapeError(f"{name} must be >= 1, got {value}")
+    if channels % groups:
+        raise ShapeError(f"{what}={channels} not divisible by groups={groups}")
+
+
 def elementwise_combine(a, b, mode):
     """Combine two same-shaped tensors elementwise.
 

@@ -55,6 +55,12 @@ class Schedule:
     step_epochs: int = 30
     total_epochs: int = 120
 
+    def __post_init__(self):
+        for name in ("step_epochs", "total_epochs"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+
     def lr_at(self, epoch):
         if not 0 <= epoch < self.total_epochs:
             raise ValueError(f"epoch {epoch} outside [0, {self.total_epochs})")
@@ -94,12 +100,12 @@ class SGD:
 # ---------------------------------------------------------------------------
 
 def _check_class_count(classes):
-    """An integer; labels are stored as u8, so at most 256 classes."""
+    """An integer from 1 to 256; labels are stored as u8."""
     if not isinstance(classes, numbers.Integral):
         raise ValueError(f"class_count must be an integer, got {classes!r}")
-    if classes > 256:
-        raise ValueError(
-            f"class_count {classes} does not fit u8 labels (at most 256)")
+    if not 1 <= classes <= 256:
+        raise ValueError(f"class_count {classes} outside [1, 256] "
+                         "(labels are stored as u8)")
 
 
 @dataclass

@@ -17,6 +17,7 @@ from menet.analysis import (
 )
 from menet.builder import MENetConfig, build_menet, summarize
 from menet.me_module import MEModule, MEModuleConfig
+from menet.tensor import ShapeError
 
 
 def all_cg_pairs(cmax=64):
@@ -83,6 +84,20 @@ class TestDependencyPatterns:
         expect[:2, :2] = True
         expect[2:, 2:] = True
         assert np.array_equal(m, expect)
+
+    def test_grouped_conv_non_square_blocks(self):
+        m = grouped_conv_pattern(6, 4, 2)
+        expect = np.zeros((4, 6), dtype=bool)
+        expect[:2, :3] = True
+        expect[2:, 3:] = True
+        assert m.dtype == bool and np.array_equal(m, expect)
+
+    @pytest.mark.parametrize("in_channels,out_channels,groups", [
+        (4, 6, 4), (6, 4, 4), (4, 4, 0), (4, 4, -2)])
+    def test_grouped_conv_uneven_split_rejected(self, in_channels,
+                                                out_channels, groups):
+        with pytest.raises(ShapeError):
+            grouped_conv_pattern(in_channels, out_channels, groups)
 
     def test_shuffle_pattern_is_permutation(self):
         m = shuffle_pattern(9, 3)

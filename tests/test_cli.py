@@ -42,6 +42,13 @@ class TestShuffleDemo:
         assert_one_error_line(code, err)
         assert f"channels must be >= 1, got {channels}" in err and out == ""
 
+    @pytest.mark.parametrize("groups", ["0", "-3"])
+    def test_groups_below_one_is_error(self, capsys, groups):
+        code, out, err = run(capsys, "shuffle-demo", "--channels", "9",
+                             "--groups", groups)
+        assert_one_error_line(code, err)
+        assert f"groups must be >= 1, got {groups}" in err and out == ""
+
 
 class TestAnalyze:
     def test_reference_numbers(self, capsys):
@@ -139,6 +146,13 @@ class TestBuild:
         code, out, err = run(capsys, "build", *flags)
         assert_one_error_line(code, err)
         assert message in err and out == ""
+
+
+    def test_groups_zero_is_one_error_line(self, capsys):
+        code, out, err = run(capsys, "build", "--model", "228-MENet-12x1",
+                             "--groups", "0")
+        assert_one_error_line(code, err)
+        assert "groups must be >= 1, got 0" in err and out == ""
 
 
 class TestGradcheck:
@@ -331,6 +345,25 @@ class TestTrainEvalRoundtrip:
         assert_one_error_line(code, err)
         name = flag[2:].replace("-", "_")
         assert f"{name} must be >= 1, got {value}" in err and out == ""
+
+    def test_make_synth_zero_classes_is_one_error_line(self, capsys,
+                                                       tmp_path):
+        code, out, err = run(capsys, "make-synth", "--out",
+                             str(tmp_path / "synth"), "--classes", "0")
+        assert_one_error_line(code, err)
+        assert "class_count 0" in err and "wrote" not in out
+
+    def test_step_epochs_zero_in_config_is_one_error_line(self, capsys,
+                                                          tmp_path):
+        data, config = tmp_path / "synth", tmp_path / "c.json"
+        run(capsys, "make-synth", "--out", str(data), "--count", "8")
+        config.write_text(json.dumps({"step_epochs": 0}))
+        code, out, err = run(capsys, "train", *DESK_FLAGS, "--config",
+                             str(config), "--dataset", str(data),
+                             "--epochs", "1", "--batch-size", "8")
+        assert_one_error_line(code, err)
+        assert "step_epochs must be >= 1, got 0" in err
+        assert "epoch" not in out
 
     def test_make_synth_more_classes_than_pixels_is_error(self, capsys,
                                                          tmp_path):

@@ -359,6 +359,18 @@ class TestConv2d:
                 Conv2d(4, 4, 3, stride=stride)
 
 
+    @pytest.mark.parametrize("groups", [0, -2])
+    def test_groups_below_one_rejected(self, groups):
+        with pytest.raises(ShapeError, match=f"groups must be >= 1, got {groups}"):
+            Conv2d(4, 4, 1, groups=groups)
+
+    def test_indivisible_width_named(self):
+        with pytest.raises(ShapeError, match="in_channels=5 not divisible"):
+            Conv2d(5, 4, 1, groups=2)
+        with pytest.raises(ShapeError, match="out_channels=6 not divisible"):
+            Conv2d(4, 6, 1, groups=4)
+
+
 class TestBatchNorm:
     def test_train_mode_normalizes(self):
         bn = BatchNorm2d(3)
@@ -459,6 +471,11 @@ class TestChannelShuffle:
     def test_indivisible_rejected(self):
         with pytest.raises(ShapeError):
             ChannelShuffle(2).forward(np.zeros((1, 5, 2, 2)))
+
+    @pytest.mark.parametrize("groups", [0, -3])
+    def test_groups_below_one_rejected(self, groups):
+        with pytest.raises(ShapeError, match=f"groups must be >= 1, got {groups}"):
+            ChannelShuffle.permutation(9, groups)
 
     @given(c=st.integers(1, 64), seed=st.integers(0, 50))
     @settings(max_examples=60, deadline=None)

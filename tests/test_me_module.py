@@ -44,6 +44,26 @@ class TestConfig:
         with pytest.raises(ValueError, match="combine_mode"):
             MEModuleConfig(8, 8, 2, 2, combine_mode="concat").validate()
 
+    def test_evolution_rejects_unknown_combine_mode(self):
+        with pytest.raises(ValueError, match="combine_mode .* got 'prod'"):
+            EvolutionOp(2, 4, combine_mode="prod")
+
+    @pytest.mark.parametrize("groups", [0, -1])
+    def test_groups_below_one_named(self, groups):
+        with pytest.raises(ValueError, match=f"groups must be >= 1, got {groups}"):
+            MEModuleConfig(8, 8, 2, groups).validate()
+
+    def test_grouped_widths_named(self):
+        # a bottleneck of 6 splits into 3 groups; 20 inputs and the 4
+        # residual outputs left beside them do not
+        cfg = MEModuleConfig(20, 24, 2, 3, downsample=True)
+        with pytest.raises(ValueError, match="in_channels=20 not divisible"):
+            cfg.validate()
+        cfg.first_pointwise_grouped = False
+        with pytest.raises(ValueError, match="residual output width=4 not "
+                                             "divisible by groups=3"):
+            cfg.validate()
+
 
 class TestShapes:
     def test_standard_full_width(self):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from menet.tensor import (
     ShapeError,
+    check_groups,
     check_nchw,
     concat_channels,
     elementwise_combine,
@@ -22,6 +23,30 @@ def rand(shape, seed=0):
 def test_check_nchw_rejects(shape, message):
     with pytest.raises(ShapeError, match=message):
         check_nchw(np.zeros(shape))
+
+
+@pytest.mark.parametrize("channels,groups,what,message", [
+    (0, 2, "channels", "channels must be >= 1, got 0"),
+    (-4, 2, "in_channels", "in_channels must be >= 1, got -4"),
+    (9, 0, "channels", "groups must be >= 1, got 0"),
+    (9, -3, "channels", "groups must be >= 1, got -3"),
+    (0, 0, "channels", "channels must be >= 1, got 0"),
+    (10, 3, "bottleneck width", "bottleneck width=10 not divisible by "
+                                "groups=3"),
+])
+def test_check_groups_rejects(channels, groups, what, message):
+    with pytest.raises(ShapeError, match=message):
+        check_groups(channels, groups, what)
+
+
+@given(st.integers(-3, 48), st.integers(-3, 48))
+def test_check_groups_accepts_exactly_even_splits(channels, groups):
+    even = channels >= 1 and groups >= 1 and channels % groups == 0
+    if even:
+        check_groups(channels, groups)
+    else:
+        with pytest.raises(ShapeError):
+            check_groups(channels, groups)
 
 
 class TestElementwiseCombine:

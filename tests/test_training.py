@@ -75,6 +75,13 @@ class TestSchedule:
         assert np.isclose(s.lr_at(30), 0.01)
         assert np.isclose(s.lr_at(119), 0.1 * 0.1 ** 3)
 
+    @pytest.mark.parametrize("name", ["step_epochs", "total_epochs"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_epochs_below_one_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got {value}"):
+            Schedule(**{name: value})
+        assert Schedule(step_epochs=1, total_epochs=1).lr_at(0) == 0.1
+
     def test_out_of_range_rejected(self):
         s = Schedule(total_epochs=10)
         with pytest.raises(ValueError):
@@ -165,6 +172,13 @@ class TestSyntheticData:
             make_synthetic_dataset(count=4, classes=300)
         with pytest.raises(ValueError, match="class_count 300"):
             Dataset(np.zeros((300, 1, 2, 2)), np.arange(300), 300)
+
+    @pytest.mark.parametrize("classes", [0, -2])
+    def test_class_count_below_one_rejected(self, classes):
+        with pytest.raises(ValueError, match=f"class_count {classes} outside"):
+            make_synthetic_dataset(count=4, classes=classes)
+        with pytest.raises(ValueError, match=f"class_count {classes} outside"):
+            Dataset(np.zeros((1, 1, 2, 2)), [0], classes)
 
     def test_more_classes_than_pixels_rejected(self):
         # a class past the last pixel column would get no band at all
