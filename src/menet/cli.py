@@ -17,11 +17,28 @@ from . import analysis, builder, serialization, training
 from .layers import ChannelShuffle
 from .me_module import COMBINE_MODES, MEModule, MEModuleConfig
 
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# (what a value must be, its test), as the flag of the same name parses it
+INT = ("an integer", _is_int)
+FLOAT = ("a number", lambda v: _is_int(v) or isinstance(v, float))
+BOOL = ("true or false", lambda v: isinstance(v, bool))
+STR = ("a string", lambda v: isinstance(v, str))
+INT_LIST = ("a list of integers",
+            lambda v: isinstance(v, list) and all(map(_is_int, v)))
+
+# every config key and its type; momentum, weight_decay and step_epochs
+# have no flag and take their presets' types
 CONFIG_KEYS = {
-    "model", "groups", "stage_repeats", "num_classes", "input_size",
-    "stem_channels", "stem_pool", "combine_mode", "epochs", "batch_size",
-    "base_lr", "momentum", "weight_decay", "step_epochs", "seed",
-    "dataset", "weights_out", "metrics_out", "preset",
+    "model": STR, "groups": INT, "stage_repeats": INT_LIST,
+    "num_classes": INT, "input_size": INT, "stem_channels": INT,
+    "stem_pool": BOOL, "combine_mode": STR, "epochs": INT,
+    "batch_size": INT, "base_lr": FLOAT, "momentum": FLOAT,
+    "weight_decay": FLOAT, "step_epochs": INT, "seed": INT, "dataset": STR,
+    "weights_out": STR, "metrics_out": STR, "preset": STR,
 }
 
 
@@ -29,9 +46,14 @@ def load_config(path):
     cfg = json.loads(Path(path).read_text())
     if not isinstance(cfg, dict):
         raise ValueError("config root must be a JSON object")
-    unknown = set(cfg) - CONFIG_KEYS
+    unknown = cfg.keys() - CONFIG_KEYS.keys()
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in cfg.items():
+        kind, is_kind = CONFIG_KEYS[key]
+        if not is_kind(value):
+            raise ValueError(f"config key {key!r} must be {kind}, "
+                             f"got {json.dumps(value)}")
     presets = sorted(training.PRESETS)
     if "preset" in cfg and cfg["preset"] not in presets:
         raise ValueError(f"unknown preset {cfg['preset']!r}; valid presets: "

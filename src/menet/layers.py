@@ -16,7 +16,10 @@ einsum("nohw,nhw->o") taken group by group, the kernel this one replaced
 (see ``conv2d_backward_raw``). The test suite keeps that per-group kernel
 as a frozen reference and checks the forward and both gradients against it
 with ``np.array_equal``, so a numpy whose einsum sums in another order
-fails there rather than shifting results silently.
+fails there rather than shifting results silently. Train-mode batch norm
+runs numpy's own mean/var reductions (``np.add.reduce``, then a divide)
+directly, without the ``np.mean``/``np.var`` wrappers, and gets the same
+bits; the test suite checks it byte for byte against ``x.mean``/``x.var``.
 
 The eval forward is not bit-identical to the reference. Its convolutions
 run ``conv2d_gemm``, a BLAS matmul that sums in its own order, and its
@@ -25,6 +28,8 @@ scale and a shift. The test suite holds ``conv2d_gemm`` to within 1e-12 of
 ``conv2d_raw``, relative to the largest output, on every conv of the
 reference models.
 """
+
+import functools
 
 import numpy as np
 
@@ -73,21 +78,32 @@ def conv_out_size(size, k, stride, pad):
     return (size + 2 * pad - k) // stride + 1
 
 
+@functools.lru_cache(maxsize=256)
+def _tap_geometry(h, w, k, stride, pad):
+    """(oh, ow) and the tap tuple of ``_windows`` for an h x w map; one
+    shared, immutable copy per geometry."""
+    oh = conv_out_size(h, k, stride, pad)
+    ow = conv_out_size(w, k, stride, pad)
+    taps = tuple((ky, kx, slice(ky, ky + stride * oh, stride),
+                  slice(kx, kx + stride * ow, stride))
+                 for ky in range(k) for kx in range(k))
+    return (oh, ow), taps
+
+
 def _windows(x, k, stride, pad, fill=0.0):
     """The strided k x k windows of an NCHW map padded by ``pad`` with
     ``fill``: the padded map, (oh, ow), and for each tap in (ky, kx) order
     ``(ky, kx, rows, cols)``, the slices of the padded map's last two axes
-    that the tap reads for every output position."""
+    that the tap reads for every output position. The padded map holds the
+    same values in the same memory order as ``np.pad`` would give."""
     h, w = x.shape[-2:]
-    oh = conv_out_size(h, k, stride, pad)
-    ow = conv_out_size(w, k, stride, pad)
+    out_hw, taps = _tap_geometry(h, w, k, stride, pad)
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
-                   constant_values=fill)
-    taps = [(ky, kx, slice(ky, ky + stride * oh, stride),
-             slice(kx, kx + stride * ow, stride))
-            for ky in range(k) for kx in range(k)]
-    return x, (oh, ow), taps
+        xp = np.full((*x.shape[:-2], h + 2 * pad, w + 2 * pad), fill,
+                     dtype=x.dtype, order="F" if x.flags.fnc else "C")
+        xp[..., pad:pad + h, pad:pad + w] = x
+        x = xp
+    return x, out_hw, taps
 
 
 class Conv2d(Layer):
@@ -289,8 +305,10 @@ class BatchNorm2d(Layer):
                 raise ShapeError(
                     "train-mode batch norm needs at least 2 elements per channel"
                 )
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            # np.mean/np.var's own reductions, without their wrappers
+            mean = np.add.reduce(x, axis=(0, 2, 3)) / m
+            centered = x - mean[None, :, None, None]
+            var = np.add.reduce(np.square(centered), axis=(0, 2, 3)) / m
             self.running_mean = (
                 (1 - self.momentum) * self.running_mean + self.momentum * mean
             )
@@ -298,7 +316,7 @@ class BatchNorm2d(Layer):
                 (1 - self.momentum) * self.running_var + self.momentum * var
             )
             inv_std = 1.0 / np.sqrt(var + self.epsilon)
-            xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+            xhat = centered * inv_std[None, :, None, None]
             self._cache = (xhat, inv_std, m)
             return gamma[None, :, None, None] * xhat + beta[None, :, None, None]
         # eval: one affine pass; backward rebuilds xhat from the input
@@ -352,6 +370,18 @@ class Sigmoid(Layer):
         return grad_out * out * (1.0 - out)
 
 
+@functools.lru_cache(maxsize=256)
+def _shuffle_orders(channels, groups):
+    """The shuffle permutation and its inverse, built once per (channels,
+    groups) and read-only, since every caller shares them."""
+    check_groups(channels, groups)
+    perm = np.arange(channels).reshape(groups, -1).T.reshape(-1)
+    inv = np.empty(channels, dtype=int)
+    inv[perm] = np.arange(channels)
+    perm.flags.writeable = inv.flags.writeable = False
+    return perm, inv
+
+
 class ChannelShuffle(Layer):
     """Reshape-(g, c/g), transpose, flatten channel permutation."""
 
@@ -361,22 +391,17 @@ class ChannelShuffle(Layer):
 
     @staticmethod
     def permutation(channels, groups):
-        """Output-position -> input-channel index map."""
-        check_groups(channels, groups)
-        return np.arange(channels).reshape(groups, -1).T.reshape(-1)
+        """Output-position -> input-channel index map (read-only, shared)."""
+        return _shuffle_orders(channels, groups)[0]
 
     def forward(self, x, train=False):
         check_nchw(x)
-        c = x.shape[1]
-        perm = self.permutation(c, self.groups)
-        self._cache = (c, perm)
+        perm, inv = _shuffle_orders(x.shape[1], self.groups)
+        self._cache = inv
         return x[:, perm]
 
     def backward(self, grad_out):
-        c, perm = self._need_cache()
-        inv = np.empty(c, dtype=int)
-        inv[perm] = np.arange(c)
-        return grad_out[:, inv]
+        return grad_out[:, self._need_cache()]
 
 
 class _Pool3x3s2(Layer):

@@ -16,7 +16,7 @@ class ShapeError(ValueError):
 def check_nchw(x):
     if x.ndim != 4:
         raise ShapeError(f"expected 4-D (n, c, h, w) array, got ndim={x.ndim}")
-    if any(d < 1 for d in x.shape):
+    if min(x.shape) < 1:
         raise ShapeError(f"all dimensions must be >= 1, got {x.shape}")
 
 

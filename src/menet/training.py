@@ -146,6 +146,8 @@ def make_synthetic_dataset(count=64, size=8, classes=2, seed=0):
     """Linearly separable toy set of RGB images: each class lights up its
     own vertical band, plus mild noise. Every class needs a band at least
     one pixel wide, so ``classes`` may not exceed ``size``."""
+    if count < 1:
+        raise ValueError(f"dataset is empty: count must be >= 1, got {count}")
     _check_class_count(classes)
     if classes > size:
         raise ValueError(

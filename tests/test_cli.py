@@ -234,6 +234,52 @@ class TestConfigFile:
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+class TestConfigValueTypes:
+    """Each config value must have its flag's type: no bool or float for
+    an integer, an integer is a number, only true/false for stem_pool."""
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("groups", True, "an integer"),
+        ("groups", 3.0, "an integer"),
+        ("groups", "3", "an integer"),
+        ("seed", False, "an integer"),
+        ("epochs", 2.5, "an integer"),
+        ("base_lr", True, "a number"),
+        ("momentum", "0.9", "a number"),
+        ("stem_pool", 0, "true or false"),
+        ("stem_pool", "false", "true or false"),
+        ("stage_repeats", 4, "a list of integers"),
+        ("stage_repeats", [4, 8.0, 4], "a list of integers"),
+        ("stage_repeats", [4, True, 4], "a list of integers"),
+        ("model", 228, "a string"),
+        ("dataset", None, "a string"),
+    ])
+    def test_mistyped_value_names_key(self, capsys, tmp_path, key, value,
+                                      kind):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"model": "228-MENet-12x1", key: value}))
+        with pytest.raises(ValueError, match=f"config key '{key}' must be "
+                                             f"{kind}, got "):
+            load_config(p)
+        code, out, err = run(capsys, "build", "--config", str(p))
+        assert_one_error_line(code, err)
+        assert f"config key '{key}' must be {kind}, got " \
+               f"{json.dumps(value)}" in err and out == ""
+
+    def test_every_key_accepts_its_type(self, tmp_path):
+        cfg = {"model": "8-MENet-1x1", "groups": 2, "stage_repeats": [1, 1, 1],
+               "num_classes": 2, "input_size": 8, "stem_channels": 4,
+               "stem_pool": False, "combine_mode": "addition", "epochs": 1,
+               "batch_size": 8, "base_lr": 1, "momentum": 0.5,
+               "weight_decay": 0, "step_epochs": 1, "seed": 3,
+               "dataset": "d", "weights_out": "w", "metrics_out": "m",
+               "preset": "desk"}
+        assert cfg.keys() == cli.CONFIG_KEYS.keys()
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(cfg))
+        assert load_config(p) == cfg
+
+
 class TestTrainEvalRoundtrip:
     def test_full_pipeline(self, capsys, tmp_path):
         data = tmp_path / "synth"
@@ -319,6 +365,14 @@ class TestTrainEvalRoundtrip:
                              str(tmp_path / "synth"), "--count", "0")
         assert_one_error_line(code, err)
         assert "dataset is empty" in err and "wrote" not in out
+
+    @pytest.mark.parametrize("count", ["-3", "-1"])
+    def test_make_synth_negative_count_is_one_error_line(self, capsys,
+                                                         tmp_path, count):
+        code, out, err = run(capsys, "make-synth", "--out",
+                             str(tmp_path / "synth"), "--count", count)
+        assert_one_error_line(code, err)
+        assert f"count must be >= 1, got {count}" in err and out == ""
 
     def test_last_batch_too_small_is_one_error_line(self, capsys, tmp_path):
         data = tmp_path / "synth"

@@ -371,7 +371,70 @@ class TestConv2d:
             Conv2d(4, 6, 1, groups=4)
 
 
+def frozen_bn_train(x, gamma, beta, running_mean, running_var, grad_out,
+                    epsilon=1e-5, momentum=0.1):
+    """The train-mode batch norm forward and backward as written with
+    ``x.mean``/``x.var``: output, running mean, running var, grad_x,
+    grad_gamma, grad_beta."""
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+    mean = x.mean(axis=(0, 2, 3))
+    var = x.var(axis=(0, 2, 3))
+    running_mean = (1 - momentum) * running_mean + momentum * mean
+    running_var = (1 - momentum) * running_var + momentum * var
+    inv_std = 1.0 / np.sqrt(var + epsilon)
+    xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    grad_gamma = (grad_out * xhat).sum(axis=(0, 2, 3))
+    grad_beta = grad_out.sum(axis=(0, 2, 3))
+    g = grad_out * gamma[None, :, None, None]
+    sum_g = g.sum(axis=(0, 2, 3), keepdims=True)
+    sum_gx = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
+    grad_x = (inv_std[None, :, None, None] / m) * (
+        m * g - sum_g - xhat * sum_gx)
+    return out, running_mean, running_var, grad_x, grad_gamma, grad_beta
+
+
+def bn_inputs(layout, rng):
+    """A (batch, 3, 5, 5) input far from zero mean, so every summation
+    order rounds differently, laid out as ``layout`` says."""
+    def values(*shape):
+        return 1e3 + rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, shape)
+    if layout == "batch1":
+        return values(1, 3, 5, 5)
+    if layout == "batch4":
+        return values(4, 3, 5, 5)
+    if layout == "channel-slice":
+        return values(4, 6, 5, 5)[:, ::2]
+    if layout == "cropped":
+        return values(4, 3, 7, 10)[:, :, 1:-1, ::2]
+    if layout == "nhwc":
+        return values(4, 5, 5, 3).transpose(0, 3, 1, 2)
+    return np.asfortranarray(values(4, 3, 5, 5))
+
+
 class TestBatchNorm:
+    @pytest.mark.parametrize("layout", ["batch1", "batch4", "channel-slice",
+                                        "cropped", "nhwc", "fortran"])
+    def test_train_mode_bit_identical_to_mean_var_form(self, layout):
+        rng = np.random.default_rng(21)
+        bn = BatchNorm2d(3)
+        bn.params["gamma"][...] = rng.normal(size=3)
+        bn.params["beta"][...] = rng.normal(size=3)
+        ref_mean, ref_var = bn.running_mean, bn.running_var
+        for _ in range(2):      # the running statistics carry over
+            x = bn_inputs(layout, rng)
+            grad_out = rng.normal(size=x.shape)
+            ref = frozen_bn_train(x, bn.params["gamma"], bn.params["beta"],
+                                  ref_mean, ref_var, grad_out)
+            _, ref_mean, ref_var, *_ = ref
+            bn.zero_grad()
+            out = bn.forward(x, train=True)
+            grad_x = bn.backward(grad_out)
+            got = (out, bn.running_mean, bn.running_var, grad_x,
+                   bn.grads["gamma"], bn.grads["beta"])
+            for a, b in zip(got, ref):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
     def test_train_mode_normalizes(self):
         bn = BatchNorm2d(3)
         x = np.random.default_rng(3).normal(2.0, 3.0, size=(4, 3, 5, 5))
@@ -477,6 +540,21 @@ class TestChannelShuffle:
         with pytest.raises(ShapeError, match=f"groups must be >= 1, got {groups}"):
             ChannelShuffle.permutation(9, groups)
 
+    def test_permutation_shared_and_read_only(self):
+        perm = ChannelShuffle.permutation(12, 3)
+        assert ChannelShuffle.permutation(12, 3) is perm
+        assert not perm.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            perm[0] = 5
+        assert perm.tolist() == [0, 4, 8, 1, 5, 9, 2, 6, 10, 3, 7, 11]
+
+    def test_backward_inverts_forward(self):
+        x = np.random.default_rng(8).normal(size=(2, 12, 3, 3))
+        shuffle = ChannelShuffle(3)
+        y = shuffle.forward(x)
+        assert y.flags.writeable
+        assert np.array_equal(shuffle.backward(y), x)
+
     @given(c=st.integers(1, 64), seed=st.integers(0, 50))
     @settings(max_examples=60, deadline=None)
     def test_involution_and_permutation_property(self, c, seed):
@@ -492,6 +570,54 @@ class TestChannelShuffle:
             sx = sorted(map(tuple, x[0].reshape(c, -1)))
             sy = sorted(map(tuple, y[0].reshape(c, -1)))
             assert sx == sy
+
+
+class TestWindows:
+    @staticmethod
+    def special_values(layout):
+        """An input holding -0.0, NaN (with a payload), inf and -inf, laid
+        out as ``layout`` says."""
+        x = np.random.default_rng(4).normal(size=(2, 6, 5, 7))
+        x[0, 0, 0, :4] = [-0.0, np.nan, np.inf, -np.inf]
+        x[1, 2, 4, 6] = -0.0
+        x.view(np.uint64)[1, 4, 2, 3] = 0x7FF8_0000_0000_BEEF
+        if layout == "channel-slice":
+            return x[:, ::2]
+        if layout == "fortran":
+            return np.asfortranarray(x)
+        return x
+
+    @pytest.mark.parametrize("layout", ["contiguous", "channel-slice",
+                                        "fortran"])
+    @pytest.mark.parametrize("fill", [0.0, -np.inf])
+    @pytest.mark.parametrize("k, stride, pad", [(3, 1, 1), (3, 2, 1),
+                                                (1, 1, 0), (1, 2, 0)])
+    def test_padded_map_bit_identical_to_np_pad(self, layout, fill, k,
+                                                stride, pad):
+        x = self.special_values(layout)
+        xp, (oh, ow), taps = layers._windows(x, k, stride, pad, fill=fill)
+        if pad:
+            ref = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
+                         constant_values=fill)
+            assert xp.dtype == ref.dtype and xp.strides == ref.strides
+            assert xp.tobytes(order="A") == ref.tobytes(order="A")
+        else:
+            assert xp is x
+        h, w = x.shape[2:]
+        assert (oh, ow) == ((h + 2 * pad - k) // stride + 1,
+                            (w + 2 * pad - k) // stride + 1)
+        assert list(taps) == [(ky, kx, slice(ky, ky + stride * oh, stride),
+                               slice(kx, kx + stride * ow, stride))
+                              for ky in range(k) for kx in range(k)]
+
+    def test_repeated_geometry_shares_one_tap_tuple(self):
+        a = np.zeros((1, 2, 6, 9))
+        b = np.ones((3, 5, 6, 9))
+        _, hw_a, taps_a = layers._windows(a, 3, 2, 1)
+        _, hw_b, taps_b = layers._windows(b, 3, 2, 1)
+        assert isinstance(taps_a, tuple) and taps_b is taps_a
+        assert hw_a == hw_b == (3, 5)
+        assert layers._windows(a, 3, 1, 1)[2] is not taps_a
 
 
 class TestPooling:

@@ -189,6 +189,12 @@ class TestSyntheticData:
         for label in range(10):
             assert data.images[data.labels == label].max() >= 180
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_named(self, count):
+        with pytest.raises(ValueError, match=f"dataset is empty: count must "
+                                             f"be >= 1, got {count}"):
+            make_synthetic_dataset(count=count)
+
     def test_empty_or_mismatched_labels_rejected(self):
         with pytest.raises(ValueError, match="dataset is empty"):
             Dataset(np.zeros((0, 1, 2, 2)), [], 2)
