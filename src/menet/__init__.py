@@ -23,7 +23,6 @@ from .builder import (
     build_menet,
     format_notation,
     parse_notation,
-    summarize,
 )
 from .analysis import (
     ConnectivityReport,

@@ -38,8 +38,6 @@ def connectivity_formula(channels, groups):
     layers of ``channels`` channels linked by a channel shuffle."""
     check_groups(channels, groups)
     c, g = channels, groups
-    if g == 1:
-        return ConnectivityReport(c, g, Fraction(0), Fraction(0), Fraction(0))
     n_total = Fraction(c * c * (g - 1), 2 * g)
     n_actual = Fraction(c * c * (g - 1), 2 * g * g)
     lost = Fraction(g - 1, g)
@@ -66,8 +64,6 @@ def connectivity_bruteforce(channels, groups):
     n = c // g
     n_total = Fraction(sum(
         1 for i in range(c) for j in range(i + 1, c) if i // n != j // n))
-    if g == 1:
-        return ConnectivityReport(c, g, n_total, Fraction(0), Fraction(0))
     share = Fraction(c, g * g)  # channels received from each former group
     ordered = Fraction(0)
     for p in range(c):
@@ -88,8 +84,6 @@ def connectivity_realized(channels, groups):
     c, g = channels, groups
     n = c // g
     n_total = connectivity_bruteforce(c, g).n_total
-    if g == 1:
-        return ConnectivityReport(c, g, n_total, Fraction(0), Fraction(0))
     perm = ChannelShuffle.permutation(c, g)
     ordered = 0
     for p in range(c):
@@ -217,6 +211,15 @@ class CostReport:
     @property
     def total_params(self):
         return sum(e.params for e in self.entries)
+
+    def table(self):
+        """The per-layer table, with a ``total`` line, that ``menet build``
+        and ``menet flops --per-layer`` print."""
+        rows = [("layer", "output", "params", "MACs")]
+        rows += [(e.name, "x".join(map(str, e.output_shape)), e.params,
+                  e.macs) for e in self.entries]
+        rows.append(("total", "", self.total_params, self.total_macs))
+        return "\n".join("{:<24}{:<18}{:>12}{:>14}".format(*r) for r in rows)
 
 
 def count_cost(net: Network, input_shape=None) -> CostReport:

@@ -9,7 +9,7 @@ fusion width of stage i is round(alpha^(i-2) * k), floored at 1.
 """
 
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -141,25 +141,3 @@ def build_menet(cfg: MENetConfig, seed=0) -> Network:
     return Network(items, in_channels=3, input_size=cfg.input_size,
                    num_classes=cfg.num_classes)
 
-
-def summarize(net: Network):
-    """Per-layer table of (name, output shape, params, MACs) plus totals.
-
-    Returns (rows, totals) where each row is a dict; totals come from the
-    same counters as the analysis module's cost report.
-    """
-    from .analysis import count_cost
-
-    report = count_cost(net)
-    rows = [asdict(e) for e in report.entries]
-    totals = {"params": report.total_params, "macs": report.total_macs}
-    return rows, totals
-
-
-def format_summary(rows, totals):
-    lines = [f"{'layer':<24}{'output':<18}{'params':>12}{'MACs':>14}"]
-    for r in rows:
-        shape = "x".join(str(d) for d in r["output_shape"])
-        lines.append(f"{r['name']:<24}{shape:<18}{r['params']:>12}{r['macs']:>14}")
-    lines.append(f"{'total':<24}{'':<18}{totals['params']:>12}{totals['macs']:>14}")
-    return "\n".join(lines)

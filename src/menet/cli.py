@@ -88,25 +88,26 @@ def _net_config(settings):
     return builder.MENetConfig.from_notation(settings["model"], **kwargs)
 
 
+def _build(settings):
+    cfg = _net_config(settings)
+    return cfg, builder.build_menet(cfg, seed=settings.get("seed", 0))
+
+
 def cmd_build(args):
-    settings = _merged_settings(args)
-    cfg = _net_config(settings).validate()
-    net = builder.build_menet(cfg, seed=settings.get("seed", 0))
-    rows, totals = builder.summarize(net)
+    cfg, net = _build(_merged_settings(args))
     print(f"model {cfg.notation()} (g={cfg.groups}) validated: "
           f"{sum(cfg.stage_repeats)} modules")
-    print(builder.format_summary(rows, totals))
+    print(analysis.count_cost(net).table())
     return 0
 
 
 def cmd_flops(args):
-    settings = _merged_settings(args)
-    net = builder.build_menet(_net_config(settings), seed=0)
-    rows, totals = builder.summarize(net)
+    _, net = _build(_merged_settings(args))
+    report = analysis.count_cost(net)
     if args.per_layer:
-        print(builder.format_summary(rows, totals))
-    print(f"total_macs {totals['macs']}")
-    print(f"total_params {totals['params']}")
+        print(report.table())
+    print(f"total_macs {report.total_macs}")
+    print(f"total_params {report.total_params}")
     print("policy conv-fc-macs")
     return 0
 
@@ -162,11 +163,6 @@ def cmd_make_synth(args):
     return 0
 
 
-def _desk_net(settings):
-    cfg = _net_config(settings)
-    return builder.build_menet(cfg, seed=settings.get("seed", 0))
-
-
 def cmd_train(args):
     # the desk preset fills in what neither a preset nor a setting gives
     settings = {**training.PRESETS["desk"], **_merged_settings(args)}
@@ -174,7 +170,7 @@ def cmd_train(args):
         raise ValueError("--dataset is required")
     data = serialization.load_dataset(settings["dataset"])
     settings.setdefault("num_classes", data.class_count)
-    net = _desk_net(settings)
+    _, net = _build(settings)
     sched = training.Schedule(
         base_lr=settings["base_lr"],
         step_epochs=settings["step_epochs"],
@@ -210,7 +206,7 @@ def cmd_eval(args):
     settings = _merged_settings(args)
     data = serialization.load_dataset(settings["dataset"])
     settings.setdefault("num_classes", data.class_count)
-    net = _desk_net(settings)
+    _, net = _build(settings)
     serialization.load_weights(net, args.weights)
     acc = training.evaluate(net, data)
     print(f"accuracy {acc:.4f}")

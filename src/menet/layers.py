@@ -361,7 +361,9 @@ class ReLU(Layer):
 
 class Sigmoid(Layer):
     def forward(self, x, train=False):
-        out = 1.0 / (1.0 + np.exp(-x))
+        # exp(-x) overflows to inf below x = -709, giving the exact limit 0
+        with np.errstate(over="ignore"):
+            out = 1.0 / (1.0 + np.exp(-x))
         self._cache = out
         return out
 

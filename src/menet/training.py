@@ -7,6 +7,7 @@ epochs, momentum 0.9, weight decay 4e-5) are kept as the "paper" preset;
 the desk preset shrinks batch and epoch counts for CPU runs.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -21,6 +22,9 @@ PRESETS = {
     "desk": {"batch_size": 32, "epochs": 30, "base_lr": 0.1,
              "momentum": 0.9, "weight_decay": 4e-5, "step_epochs": 30},
 }
+
+# a step loss above this multiple of ln(classes) (a uniform guess) diverged
+DIVERGENCE_FACTOR = 100
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +53,14 @@ def cross_entropy(logits, labels):
 # optimizer and schedule
 # ---------------------------------------------------------------------------
 
+def _check_finite(name, value, positive):
+    """A finite number, > 0 if ``positive`` and >= 0 otherwise."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+            and (value > 0 if positive else value >= 0)):
+        raise ValueError(f"{name} must be a finite number "
+                         f"{'>' if positive else '>='} 0, got {value}")
+
+
 @dataclass
 class Schedule:
     base_lr: float = 0.1
@@ -56,6 +68,7 @@ class Schedule:
     total_epochs: int = 120
 
     def __post_init__(self):
+        _check_finite("base_lr", self.base_lr, positive=True)
         for name in ("step_epochs", "total_epochs"):
             value = getattr(self, name)
             if value < 1:
@@ -73,8 +86,9 @@ class SGD:
     biases."""
 
     def __init__(self, lr=0.1, momentum=0.9, weight_decay=4e-5):
-        if lr <= 0:
-            raise ValueError("lr must be positive")
+        _check_finite("lr", lr, positive=True)
+        _check_finite("momentum", momentum, positive=False)
+        _check_finite("weight_decay", weight_decay, positive=False)
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
@@ -173,7 +187,8 @@ def make_synthetic_dataset(count=64, size=8, classes=2, seed=0):
 def train_loop(net: Network, data: Dataset, sched: Schedule, opt: SGD,
                epochs, seed=0, batch_size=32, log=None):
     """Seed-deterministic SGD loop; returns [(epoch, lr, loss, accuracy)].
-    A step whose loss is not finite raises ``ValueError`` before its update."""
+    A step whose loss is not finite, or above ``DIVERGENCE_FACTOR`` times
+    the log of the logits width, raises ``ValueError`` before its update."""
     for name, value in (("epochs", epochs), ("batch_size", batch_size)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
@@ -197,9 +212,13 @@ def train_loop(net: Network, data: Dataset, sched: Schedule, opt: SGD,
             net.zero_grad()
             logits = net.forward(x_all[idx], train=True)
             loss, grad = cross_entropy(logits, yb)
-            if not np.isfinite(loss):
-                raise ValueError(
-                    f"loss is {loss} at epoch {epoch}, batch offset {start}")
+            limit = DIVERGENCE_FACTOR * math.log(logits.shape[1])
+            if not loss <= limit:
+                above = (f", above the divergence limit {limit:.4g} "
+                         f"({DIVERGENCE_FACTOR} * ln {logits.shape[1]})"
+                         if np.isfinite(loss) else "")
+                raise ValueError(f"loss is {loss} at epoch {epoch}, "
+                                 f"batch offset {start}{above}")
             net.backward(grad)
             opt.step(net)
             losses.append(loss * len(idx))

@@ -15,7 +15,7 @@ from menet.analysis import (
     perturbation_pattern,
     shuffle_pattern,
 )
-from menet.builder import MENetConfig, build_menet, summarize
+from menet.builder import MENetConfig, build_menet
 from menet.layers import (
     AvgPool3x3s2,
     BatchNorm2d,
@@ -191,8 +191,8 @@ def test_6_architecture_conformance():
     for notation, groups, _ in REFERENCE_MODELS:
         cfg = MENetConfig.from_notation(notation, groups=groups).validate()
         ok &= tuple(cfg.stage_width(i) for i in range(3)) == widths[notation]
-        rows, _ = summarize(build_menet(cfg, seed=0))
-        shapes = {r["name"]: r["output_shape"] for r in rows}
+        shapes = {e.name: e.output_shape
+                  for e in count_cost(build_menet(cfg, seed=0)).entries}
         ok &= shapes["stem.conv"][1:] == (112, 112)
         ok &= shapes["stem.pool"][1:] == (56, 56)
         ok &= shapes["stage2.0/pw2"][1:] == (28, 28)

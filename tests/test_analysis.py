@@ -15,7 +15,7 @@ from menet.analysis import (
     perturbation_pattern,
     shuffle_pattern,
 )
-from menet.builder import MENetConfig, build_menet, summarize
+from menet.builder import MENetConfig, build_menet
 from menet.me_module import MEModule, MEModuleConfig
 from menet.tensor import ShapeError
 
@@ -174,14 +174,6 @@ class TestCost:
         fc = next(e for e in report.entries if e.name == "fc")
         assert fc.macs == 912 * 1000
         assert fc.params == 912 * 1000 + 1000
-
-    def test_summarize_agrees_with_count_cost(self):
-        cfg = MENetConfig.from_notation("256-MENet-12x1", groups=4)
-        net = build_menet(cfg, seed=0)
-        rows, totals = summarize(net)
-        report = count_cost(net)
-        assert totals["macs"] == report.total_macs
-        assert totals["params"] == report.total_params
 
     @pytest.mark.parametrize("notation,groups,target", [
         ("228-MENet-12x1", 3, 144e6),

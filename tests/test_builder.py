@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from menet.analysis import count_cost
 from menet.builder import (
     MENetConfig,
     build_menet,
     format_notation,
     fusion_width_at_stage,
     parse_notation,
-    summarize,
 )
 from menet.me_module import MEModule
 
@@ -107,8 +107,7 @@ class TestBuiltNetwork:
         assert out.shape == (1, 10)
         # spatial sizes 224 -> 112 (stem) -> 56 (pool) -> 28/14/7 (stages),
         # read off the symbolic cost report
-        rows, _ = summarize(net)
-        by_name = {r["name"]: r["output_shape"] for r in rows}
+        by_name = {e.name: e.output_shape for e in count_cost(net).entries}
         assert by_name["stem.conv"][1:] == (112, 112)
         assert by_name["stage2.0/pw2"][1:] == (28, 28)
         assert by_name["stage3.0/pw2"][1:] == (14, 14)

@@ -110,6 +110,13 @@ class TestFlops:
         code, _, err = run(capsys, "flops")
         assert code == 2 and "model" in err
 
+    @pytest.mark.parametrize("command", ["flops", "build"])
+    def test_negative_seed_is_one_error_line(self, capsys, command):
+        assert run(capsys, command, *DESK_FLAGS)[0] == 0
+        code, out, err = run(capsys, command, *DESK_FLAGS, "--seed", "-1")
+        assert_one_error_line(code, err)
+        assert "negative" in err and out == ""
+
 
 class TestBuild:
     def test_summary_printed(self, capsys):
@@ -534,6 +541,43 @@ class TestTrainEvalRoundtrip:
         assert "epoch" not in out and "final_accuracy" not in out
         assert len(sinks) == 1 and sinks[0].closed
         assert metrics.read_text() == ""
+
+    @pytest.mark.parametrize("flags,config,message", [
+        (["--base-lr", "nan"], None, "base_lr must be a finite number > 0, "
+                                     "got nan"),
+        (["--base-lr", "inf"], None, "base_lr must be a finite number > 0, "
+                                     "got inf"),
+        ([], '{"momentum": NaN}', "momentum must be a finite number >= 0, "
+                                  "got nan"),
+        ([], '{"weight_decay": Infinity}', "weight_decay must be a finite "
+                                          "number >= 0, got inf")])
+    def test_non_finite_optimizer_setting_is_one_error_line(
+            self, capsys, tmp_path, flags, config, message):
+        data, weights = tmp_path / "synth", tmp_path / "weights"
+        run(capsys, "make-synth", "--out", str(data), "--count", "8")
+        if config is not None:
+            (tmp_path / "c.json").write_text(config)
+            flags = ["--config", str(tmp_path / "c.json")]
+        code, out, err = run(capsys, "train", *DESK_FLAGS, *flags,
+                             "--dataset", str(data), "--epochs", "1",
+                             "--batch-size", "8", "--weights-out",
+                             str(weights))
+        assert_one_error_line(code, err)
+        assert message in err and "epoch" not in out
+        assert not list(tmp_path.glob("weights*"))
+
+    def test_diverging_run_is_one_error_line(self, capsys, tmp_path):
+        # the README desk run at a learning rate of 1e6
+        data, weights = tmp_path / "synth", tmp_path / "weights"
+        run(capsys, "make-synth", "--out", str(data), "--count", "32")
+        code, out, err = run(capsys, "train", *DESK_FLAGS, "--dataset",
+                             str(data), "--epochs", "24", "--batch-size",
+                             "16", "--base-lr", "1e6", "--weights-out",
+                             str(weights))
+        assert_one_error_line(code, err)
+        assert "above the divergence limit 69.31 (100 * ln 2)" in err
+        assert "final_accuracy" not in out
+        assert not list(tmp_path.glob("weights*"))
 
     def test_missing_dataset_is_error(self, capsys):
         code, _, err = run(capsys, "train", "--model", "8-MENet-1x1",

@@ -1,9 +1,10 @@
 """CLI output frozen as files under ``tests/golden``.
 
 A change that keeps the numbers must keep these outputs byte for byte: the
-per-layer cost table of the three reference models (stored as SHA-256 of
-stdout), the README desk model's table in both combine modes and the
-connectivity report with its dependency-pattern check (stored as text).
+``flops --per-layer`` and ``build`` output of the three reference models
+(stored as SHA-256 of stdout), the README desk model's ``flops`` table in
+both combine modes and its ``build`` output, and the connectivity report
+with its dependency-pattern check (stored as text).
 """
 
 import hashlib
@@ -25,15 +26,29 @@ def stdout_of(capsys, *argv):
     return capsys.readouterr().out
 
 
-@pytest.mark.parametrize("model,groups", [("228-MENet-12x1", 3),
-                                          ("256-MENet-12x1", 4),
-                                          ("352-MENet-12x1", 8)])
+REFERENCE_MODELS = pytest.mark.parametrize(
+    "model,groups", [("228-MENet-12x1", 3), ("256-MENet-12x1", 4),
+                     ("352-MENet-12x1", 8)])
+
+
+def assert_digest(out, name, model, groups):
+    digests = json.loads((GOLDEN / name).read_text())
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == digests[f"{model} g{groups}"])
+
+
+@REFERENCE_MODELS
 def test_reference_model_flops_per_layer(capsys, model, groups):
     out = stdout_of(capsys, "flops", "--model", model, "--groups",
                     str(groups), "--per-layer")
-    digests = json.loads((GOLDEN / "flops_per_layer.sha256.json").read_text())
-    assert (hashlib.sha256(out.encode()).hexdigest()
-            == digests[f"{model} g{groups}"])
+    assert_digest(out, "flops_per_layer.sha256.json", model, groups)
+
+
+@REFERENCE_MODELS
+def test_reference_model_build(capsys, model, groups):
+    out = stdout_of(capsys, "build", "--model", model, "--groups",
+                    str(groups))
+    assert_digest(out, "build.sha256.json", model, groups)
 
 
 @pytest.mark.parametrize("mode", ["product", "addition"])
@@ -41,6 +56,11 @@ def test_desk_model_flops_per_layer(capsys, mode):
     out = stdout_of(capsys, "flops", *DESK_FLAGS, "--combine-mode", mode,
                     "--per-layer")
     assert out == (GOLDEN / f"desk_flops_{mode}.txt").read_text()
+
+
+def test_desk_model_build(capsys):
+    out = stdout_of(capsys, "build", *DESK_FLAGS)
+    assert out == (GOLDEN / "desk_build.txt").read_text()
 
 
 def test_analyze_pattern(capsys):

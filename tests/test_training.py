@@ -82,6 +82,13 @@ class TestSchedule:
             Schedule(**{name: value})
         assert Schedule(step_epochs=1, total_epochs=1).lr_at(0) == 0.1
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf"), 0.0, -0.1])
+    def test_base_lr_not_finite_and_positive_rejected(self, value):
+        with pytest.raises(ValueError, match="base_lr must be a finite "
+                                             f"number > 0, got {value}"):
+            Schedule(base_lr=value)
+
     def test_out_of_range_rejected(self):
         s = Schedule(total_epochs=10)
         with pytest.raises(ValueError):
@@ -136,6 +143,21 @@ class TestSGD:
     def test_invalid_lr(self):
         with pytest.raises(ValueError):
             SGD(lr=0.0)
+
+    @pytest.mark.parametrize("name,value,bound", [
+        ("lr", float("nan"), ">"), ("lr", float("inf"), ">"),
+        ("momentum", float("nan"), ">="), ("momentum", -0.5, ">="),
+        ("weight_decay", float("inf"), ">="),
+        ("weight_decay", float("-inf"), ">=")])
+    def test_settings_not_finite_or_in_range_rejected(self, name, value,
+                                                      bound):
+        with pytest.raises(ValueError, match=f"{name} must be a finite "
+                                             f"number {bound} 0, got {value}"):
+            SGD(**{name: value})
+
+    def test_zero_momentum_and_weight_decay_accepted(self):
+        opt = SGD(lr=0.01, momentum=0.0, weight_decay=0.0)
+        assert (opt.lr, opt.momentum, opt.weight_decay) == (0.01, 0.0, 0.0)
 
     def test_gradient_shape_mismatch_rejected(self):
         class MismatchedNet:
@@ -323,6 +345,26 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="loss is nan at epoch 0, "
                                              "batch offset 0"):
             train_loop(net, data, sched, SGD(lr=0.05), epochs=4, batch_size=8)
+
+    def test_diverging_loss_names_the_limit(self):
+        # at lr 1e6 the second step's loss is finite but far above
+        # 100 * ln 2; that step raises before its update
+        class CountingSGD(SGD):
+            calls = 0
+
+            def step(self, net):
+                super().step(net)
+                self.calls += 1
+
+        net = build_menet(tiny_config(), seed=1)
+        data = make_synthetic_dataset(count=16, size=8, classes=2, seed=0)
+        sched = Schedule(base_lr=1e6, step_epochs=30, total_epochs=30)
+        opt = CountingSGD(lr=1e6)
+        with pytest.raises(ValueError, match=r"loss is \S+ at epoch 0, batch "
+                                             r"offset 8, above the divergence "
+                                             r"limit 69\.31 \(100 \* ln 2\)"):
+            train_loop(net, data, sched, opt, epochs=2, batch_size=8)
+        assert opt.calls == 1
 
     def test_last_batch_of_two_trains(self):
         net = build_menet(tiny_config(), seed=1)
