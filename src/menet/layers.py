@@ -21,12 +21,18 @@ runs numpy's own mean/var reductions (``np.add.reduce``, then a divide)
 directly, without the ``np.mean``/``np.var`` wrappers, and gets the same
 bits; the test suite checks it byte for byte against ``x.mean``/``x.var``.
 
-The eval forward is not bit-identical to the reference. Its convolutions
-run ``conv2d_gemm``, a BLAS matmul that sums in its own order, and its
-batch norm is one affine pass with the running statistics folded into a
-scale and a shift. The test suite holds ``conv2d_gemm`` to within 1e-12 of
-``conv2d_raw``, relative to the largest output, on every conv of the
-reference models.
+The eval forward is not bit-identical to the reference, nor to running
+its layers one by one. Its convolutions, depthwise included, run
+``conv2d_gemm``, a BLAS matmul that sums in its own order. ``Chain`` folds
+each batch norm into the conv right before it (Jacob et al. 2018, arXiv
+1712.05877, section 3): the conv runs on its weights scaled per output
+channel, then adds a per-channel shift, so the products round differently
+than a conv followed by a separate affine pass. The folded batch norm keeps
+no array; a backward after it recomputes its input from the conv's cache.
+A batch norm run on its own in eval is one affine pass with the same scale
+and shift. The test suite holds ``conv2d_gemm`` to within 1e-12 of
+``conv2d_raw``, and the folded pair to within 1e-12 of the unfolded one,
+relative to the largest output, on every conv of the reference models.
 """
 
 import functools
@@ -154,18 +160,40 @@ class Conv2d(Layer):
         return (oh * ow * self.kernel * self.kernel
                 * (self.in_channels // self.groups) * self.out_channels)
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, bn=None):
+        """The conv of ``x``; in eval, ``bn`` is the batch norm that
+        follows, run folded in: the weights scaled by its per-channel
+        scale, then its shift added. ``bn`` then caches this conv, not an
+        array."""
         check_nchw(x)
         if x.shape[1] != self.in_channels:
             raise ShapeError(
                 f"expected {self.in_channels} input channels, got {x.shape[1]}"
             )
         self._cache = x
+        w = self.params["weight"]
         # training stays on the bit-identical reference kernel; this branch
         # goes once ROADMAP 1(a)+(b) move training onto conv2d_gemm
-        kernel = conv2d_raw if train else conv2d_gemm
-        return kernel(x, self.params["weight"], self.stride, self.pad,
-                      self.groups)
+        if train:
+            return conv2d_raw(x, w, self.stride, self.pad, self.groups)
+        if bn is None:
+            return self._eval(x, w)
+        if bn.channels != self.out_channels:
+            raise ShapeError(f"expected {bn.channels} channels, "
+                             f"got {self.out_channels}")
+        _, scale, shift = bn.eval_affine()
+        bn._cache = self
+        out = self._eval(x, w * scale[:, None, None, None])
+        out += shift[None, :, None, None]
+        return out
+
+    def _eval(self, x, w):
+        return conv2d_gemm(x, w, self.stride, self.pad, self.groups)
+
+    def eval_output(self):
+        """The unfolded eval output of the cached input: what a batch norm
+        folded into this conv's last forward took as its input."""
+        return self._eval(self._need_cache(), self.params["weight"])
 
     def backward(self, grad_out):
         x = self._need_cache()
@@ -209,15 +237,12 @@ def conv2d_gemm(x, w, stride, pad, groups):
     """The forward conv as one batched matmul of the weights, read as
     (groups, out per group, in per group * k * k), with the input columns,
     (n, groups, in per group * k * k, oh * ow). A 1x1 conv reads its input
-    as the columns, a view when the stride is 1; a 3x3 conv copies its
-    windows into them (im2col). Depthwise keeps ``conv2d_raw``: its columns
-    would be nine copies of the map for one multiply-add per tap. BLAS sums
-    in its own order, so results differ from ``conv2d_raw`` in the last
-    bits."""
+    as the columns, a view when the stride is 1; a 3x3 conv, depthwise
+    included (one channel per group), copies its windows into them
+    (im2col). BLAS sums in its own order, so results differ from
+    ``conv2d_raw`` in the last bits."""
     n = x.shape[0]
     cout, cpg, k, _ = w.shape
-    if k > 1 and cpg == 1:
-        return conv2d_raw(x, w, stride, pad, groups)
     xp, (oh, ow), taps = _windows(x, k, stride, pad)
     if k == 1:
         columns = xp[:, :, ::stride, ::stride]
@@ -297,8 +322,6 @@ class BatchNorm2d(Layer):
         check_nchw(x)
         if x.shape[1] != self.channels:
             raise ShapeError(f"expected {self.channels} channels, got {x.shape[1]}")
-        gamma = self.params["gamma"]
-        beta = self.params["beta"]
         if train:
             m = x.shape[0] * x.shape[2] * x.shape[3]
             if m < 2:
@@ -318,26 +341,40 @@ class BatchNorm2d(Layer):
             inv_std = 1.0 / np.sqrt(var + self.epsilon)
             xhat = centered * inv_std[None, :, None, None]
             self._cache = (xhat, inv_std, m)
-            return gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+            return (self.params["gamma"][None, :, None, None] * xhat
+                    + self.params["beta"][None, :, None, None])
         # eval: one affine pass; backward rebuilds xhat from the input
-        inv_std = 1.0 / np.sqrt(self.running_var + self.epsilon)
-        scale = gamma * inv_std
-        shift = beta - self.running_mean * scale
-        self._cache = (x, inv_std, None)
+        _, scale, shift = self.eval_affine()
+        self._cache = x
         out = x * scale[None, :, None, None]
         out += shift[None, :, None, None]
         return out
 
+    def eval_affine(self):
+        """(inv_std, scale, shift) of the eval pass from the running
+        statistics: inv_std = 1 / sqrt(running_var + epsilon), scale =
+        gamma * inv_std and shift = beta - running_mean * scale."""
+        inv_std = 1.0 / np.sqrt(self.running_var + self.epsilon)
+        scale = self.params["gamma"] * inv_std
+        return inv_std, scale, self.params["beta"] - self.running_mean * scale
+
     def backward(self, grad_out):
-        xhat, inv_std, m = self._need_cache()
-        if m is None:
-            xhat = (xhat - self.running_mean[None, :, None, None]) \
+        cache = self._need_cache()
+        if isinstance(cache, tuple):
+            xhat, inv_std, m = cache
+        else:
+            # eval: the cache is the input, or the conv this norm was
+            # folded into, which recomputes it
+            x = cache if isinstance(cache, np.ndarray) else cache.eval_output()
+            inv_std, scale, _ = self.eval_affine()
+            xhat = (x - self.running_mean[None, :, None, None]) \
                 * inv_std[None, :, None, None]
+            m = None
         gamma = self.params["gamma"]
         self.grads["gamma"] += (grad_out * xhat).sum(axis=(0, 2, 3))
         self.grads["beta"] += grad_out.sum(axis=(0, 2, 3))
         if m is None:
-            return grad_out * (gamma * inv_std)[None, :, None, None]
+            return grad_out * scale[None, :, None, None]
         g = grad_out * gamma[None, :, None, None]
         sum_g = g.sum(axis=(0, 2, 3), keepdims=True)
         sum_gx = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
@@ -558,8 +595,19 @@ class Chain(Composite):
         return out
 
     def forward(self, x, train=False):
-        for _, step in self.steps:
-            x = step.forward(x, train)
+        if train:
+            for _, step in self.steps:
+                x = step.forward(x, train)
+            return x
+        # eval: a conv runs with the batch norm right after it folded in
+        steps = [step for _, step in self.steps] + [None]
+        i = 0
+        while i < len(self.steps):
+            step, after = steps[i], steps[i + 1]
+            fold = isinstance(step, Conv2d) and isinstance(after, BatchNorm2d)
+            x = (step.forward(x, False, bn=after) if fold
+                 else step.forward(x, False))
+            i += 1 + fold
         return x
 
     def backward(self, grad_out):

@@ -34,11 +34,17 @@ def _archive_entries(net: Network):
         yield f"{name}.running_var", bn.running_var
 
 
+def _paths(base):
+    """``<base>.json`` and ``<base>.bin``, appended to the base's full name:
+    a dot in it (``w_0.05``) stays part of the name."""
+    return Path(f"{base}.json"), Path(f"{base}.bin")
+
+
 def _write(base, kind, arrays, **fields):
     """Write the (name, array) pairs ``arrays`` as ``<base>.bin`` and
     ``<base>.json``; returns the manifest path."""
     fmt, version, dtype, _, _ = kind
-    base = Path(base)
+    manifest_path, blob_path = _paths(base)
     manifest = {"format": fmt, "version": version, "dtype": dtype.name,
                 **fields, "params": []}
     blob = bytearray()
@@ -48,9 +54,8 @@ def _write(base, kind, arrays, **fields):
             "name": name, "shape": list(arr.shape), "offset": len(blob),
             "nbytes": len(raw), "crc32": zlib.crc32(raw)})
         blob += raw
-    base.parent.mkdir(parents=True, exist_ok=True)
-    base.with_suffix(".bin").write_bytes(bytes(blob))
-    manifest_path = base.with_suffix(".json")
+    blob_path.parent.mkdir(parents=True, exist_ok=True)
+    blob_path.write_bytes(bytes(blob))
     manifest_path.write_text(json.dumps(manifest, indent=1))
     return manifest_path
 
@@ -59,8 +64,8 @@ def _read(base, kind, shapes):
     """The manifest and {name: array} of a ``kind`` archive holding exactly
     the names of ``shapes``, in the shapes they map to (None: any)."""
     fmt, version, dtype, what, holder = kind
-    base = Path(base)
-    manifest = json.loads(base.with_suffix(".json").read_text())
+    manifest_path, blob_path = _paths(base)
+    manifest = json.loads(manifest_path.read_text())
     if not isinstance(manifest, dict) or manifest.get("format") != fmt:
         raise ValueError(f"not a {what} manifest")
     if manifest.get("version") != version:
@@ -78,7 +83,7 @@ def _read(base, kind, shapes):
     unknown = [e["name"] for e in manifest["params"] if e["name"] not in shapes]
     if unknown:
         raise KeyError(f"archive parameter {unknown[0]!r} not in {holder}")
-    blob = memoryview(base.with_suffix(".bin").read_bytes())  # slices copy nothing
+    blob = memoryview(blob_path.read_bytes())  # slices copy nothing
     arrays, spans = {}, []
     for entry in manifest["params"]:
         name = entry["name"]

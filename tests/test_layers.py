@@ -487,6 +487,95 @@ class TestBatchNorm:
             bn.forward(np.zeros((1, 1, 1, 1)), train=True)
 
 
+def conv_bn_pair(seed, cin, cout, k, stride, groups):
+    """A conv and the batch norm after it, with seeded weights and
+    non-trivial gamma, beta and running statistics."""
+    rng = np.random.default_rng(seed)
+    conv = Conv2d(cin, cout, k, stride=stride, groups=groups, rng=rng)
+    bn = BatchNorm2d(cout)
+    bn.params["gamma"][...] = rng.normal(size=cout)
+    bn.params["beta"][...] = rng.normal(size=cout)
+    bn.running_mean = rng.normal(size=cout)
+    bn.running_var = rng.uniform(0.1, 3.0, size=cout)
+    return conv, bn
+
+
+def pair_state(conv, bn):
+    return {"weight": conv.params["weight"], "gamma": bn.params["gamma"],
+            "beta": bn.params["beta"], "running_mean": bn.running_mean,
+            "running_var": bn.running_var}
+
+
+def assert_fold_agrees(rng, batch, cin, cout, k, stride, groups, h, wd):
+    """The folded eval pair against the conv then the batch norm: output,
+    input gradient and every parameter gradient within 1e-12 relative to
+    the largest value, and no weight or statistic changed."""
+    case = f"b{batch} {cin}->{cout} k{k} s{stride} g{groups} {h}x{wd}"
+    seed = rng.integers(2 ** 32)
+    folded = conv_bn_pair(seed, cin, cout, k, stride, groups)
+    plain = conv_bn_pair(seed, cin, cout, k, stride, groups)
+    before = {key: a.copy() for key, a in pair_state(*folded).items()}
+    x = rng.normal(size=(batch, cin, h, wd))
+    out = folded[0].forward(x, False, bn=folded[1])
+    ref = plain[1].forward(plain[0].forward(x, False), False)
+    for key, a in pair_state(*folded).items():
+        assert np.array_equal(a, before[key]), f"{key} changed, {case}"
+    grad_out = rng.normal(size=ref.shape)
+    grad_x, ref_grad_x = (conv.backward(bn.backward(grad_out))
+                          for conv, bn in (folded, plain))
+    got = {"out": out, "grad_x": grad_x, "weight": folded[0].grads["weight"],
+           **folded[1].grads}
+    want = {"out": ref, "grad_x": ref_grad_x,
+            "weight": plain[0].grads["weight"], **plain[1].grads}
+    for key, a in got.items():
+        err = np.abs(a - want[key]).max() / np.abs(want[key]).max()
+        assert err <= 1e-12, f"{key}: {err:.3g} rel, {case}"
+
+
+class TestBatchNormFold:
+    # a batch norm follows every conv of these models, so each conv
+    # config is one conv->BN pair
+    @pytest.mark.parametrize("source", [
+        "228-MENet-12x1/g3", "256-MENet-12x1/g4", "352-MENet-12x1/g8",
+    ])
+    def test_224_px_pairs_agree_with_unfolded(self, source):
+        # the paper's mobile setting: 224 px, batch 1
+        rng = np.random.default_rng(13)
+        configs = conv_configs(source, size=224)
+        assert configs
+        for config in configs:
+            assert_fold_agrees(rng, 1, *config)
+
+    @pytest.mark.parametrize("batch", [2, 16])
+    @pytest.mark.parametrize("source", ["desk", "gradcheck-tiny"])
+    def test_small_pairs_agree_with_unfolded(self, source, batch):
+        rng = np.random.default_rng(14)
+        configs = conv_configs(source)
+        assert configs
+        for config in configs:
+            assert_fold_agrees(rng, batch, *config)
+
+    def test_eval_network_forward_keeps_no_batch_norm_array(self):
+        # a folded batch norm caches its conv, not a copy of the conv's
+        # output as an unfolded eval batch norm does
+        cfg = MENetConfig.from_notation("228-MENet-12x1", groups=3,
+                                        num_classes=10, input_size=64)
+        net = build_menet(cfg, seed=0)
+        net.forward(np.random.default_rng(15).normal(size=(1, 3, 64, 64)),
+                    train=False)
+        bns = list(net.batchnorms())
+        assert bns
+        for name, bn in bns:
+            cache = bn._cache
+            held = cache if isinstance(cache, tuple) else (cache,)
+            assert cache is not None, name
+            assert not any(isinstance(a, np.ndarray) for a in held), name
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match="expected 1 channels, got 4"):
+            Conv2d(2, 4, 1).forward(np.zeros((1, 2, 3, 3)), bn=BatchNorm2d(1))
+
+
 class TestActivations:
     def test_relu_values(self):
         x = np.array([-1.0, 0.0, 2.0]).reshape(1, 3, 1, 1)

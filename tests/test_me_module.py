@@ -206,7 +206,7 @@ def test_backward_before_forward_rejected():
 
 # The module's dataflow as it was written out by hand before it was read
 # from the four layer chains; frozen as the reference the chains must match
-# bit for bit.
+# bit for bit. In eval it folds each conv->BN pair as the chains do.
 
 def reference_named_layers(m):
     return {"pw1": m.pw1, "bn1": m.bn1, "dw": m.dw, "bn_dw": m.bn_dw,
@@ -215,14 +215,21 @@ def reference_named_layers(m):
             **m.evolution.prefixed_layers("evo")}
 
 
+def conv_bn(conv, bn, x, train):
+    """conv then batch norm; in eval the norm is folded into the conv."""
+    if train:
+        return bn.forward(conv.forward(x, train), train)
+    return conv.forward(x, train, bn=bn)
+
+
 def reference_forward(m, x, train):
     cfg = m.cfg
-    r = m.relu1.forward(m.bn1.forward(m.pw1.forward(x, train), train), train)
+    r = m.relu1.forward(conv_bn(m.pw1, m.bn1, x, train), train)
     s = m.shuffle.forward(r, train)
-    d = m.bn_dw.forward(m.dw.forward(s, train), train)
+    d = conv_bn(m.dw, m.bn_dw, s, train)
     f = m.evolution.forward(m.merging.forward(s, train), train)
     comb = elementwise_combine(d, f, cfg.combine_mode)
-    res = m.bn2.forward(m.pw2.forward(comb, train), train)
+    res = conv_bn(m.pw2, m.bn2, comb, train)
     if cfg.downsample:
         ident = m.identity_pool.forward(x, train)
         out = m.relu_final.forward(concat_channels(ident, res), train)

@@ -117,6 +117,20 @@ class TestWeightArchive:
         for name in before:
             assert np.array_equal(before[name], after[name]), name
 
+    def test_dotted_names_keep_their_own_files(self, tmp_path):
+        # the suffixes are appended: w_0.05 and w_0.1 must not both
+        # become w_0.json/w_0.bin
+        nets = {"w_0.05": tiny_net(seed=3), "w_0.1": tiny_net(seed=4)}
+        for name, net in nets.items():
+            assert save_weights(net, tmp_path / name) == \
+                tmp_path / f"{name}.json"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "w_0.05.bin", "w_0.05.json", "w_0.1.bin", "w_0.1.json"]
+        for name, net in nets.items():
+            back = snapshot(load_weights(tiny_net(seed=9), tmp_path / name))
+            for key, arr in snapshot(net).items():
+                assert np.array_equal(back[key], arr), (name, key)
+
     def test_manifest_contents(self, tmp_path):
         net = tiny_net()
         path = save_weights(net, tmp_path / "w")
