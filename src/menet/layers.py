@@ -2,7 +2,10 @@
 
 Each layer caches whatever the backward pass needs during forward. Backward
 returns the gradient w.r.t. the input and accumulates parameter gradients
-into ``self.grads`` (same keys as ``self.params``).
+into ``self.grads`` (same keys as ``self.params``). A layer, ``Chain`` or
+module run on its own keeps that cache in eval too, so a backward can
+follow; an eval ``Network.forward`` clears each item's caches as soon as
+the item returns (see ``network.py``).
 
 Training runs the reference convolution, ``conv2d_raw`` and
 ``conv2d_backward_raw``: a shifted-window loop over (input channel within
@@ -70,7 +73,8 @@ class Layer:
 
     def _register(self, name, value):
         self.params[name] = value
-        self.grads[name] = np.zeros_like(value)
+        # np.zeros, unlike zeros_like, leaves pages no backward writes unmapped
+        self.grads[name] = np.zeros(value.shape, value.dtype)
 
     def _need_cache(self):
         if self._cache is None:
@@ -553,7 +557,9 @@ class Linear(Layer):
 
 class Composite:
     """A unit built from named layers. Its parameters, gradients and batch
-    norms are all read through ``named_layers()`` and keep its order."""
+    norms are all read through ``named_layers()`` and keep its order;
+    ``all_layers()`` gives (path, layer) for every layer, parameter-free
+    ones included."""
 
     def prefixed_layers(self, prefix):
         return {f"{prefix}.{name}": layer
@@ -582,8 +588,20 @@ class Chain(Composite):
     and in reverse backward. Its named layers are the steps that hold
     parameters and, under the step name, a composite step's own."""
 
+    sep = "."   # joins a composite step's name to the paths inside it
+
     def __init__(self, *steps):
         self.steps = list(steps)
+
+    def all_layers(self):
+        """(path, layer) for every layer in dataflow order, a composite
+        step's as ``<step><sep><path>``."""
+        for name, step in self.steps:
+            if isinstance(step, Composite):
+                for path, layer in step.all_layers():
+                    yield f"{name}{self.sep}{path}", layer
+            else:
+                yield name, step
 
     def named_layers(self):
         out = {}
@@ -607,8 +625,14 @@ class Chain(Composite):
             fold = isinstance(step, Conv2d) and isinstance(after, BatchNorm2d)
             x = (step.forward(x, False, bn=after) if fold
                  else step.forward(x, False))
+            self._eval_ran(steps[i:i + 1 + fold])
             i += 1 + fold
         return x
+
+    def _eval_ran(self, steps):
+        """Called in eval once ``steps``, one step or a folded conv and its
+        batch norm, have run. A plain chain keeps their caches, so a
+        backward can follow."""
 
     def backward(self, grad_out):
         for _, step in reversed(self.steps):

@@ -166,6 +166,16 @@ class MEModule(Composite):
                               self.fusion)
                 for name, layer in chain.named_layers().items()}
 
+    def all_layers(self):
+        """(path, layer) for every layer: the chains in ``layer_shapes``
+        order (trunk, fusion, depthwise, project), then the skip's pool and
+        the final ReLU."""
+        for chain in (self.trunk, self.fusion, self.depthwise, self.project):
+            yield from chain.all_layers()
+        if self.identity_pool is not None:
+            yield "identity_pool", self.identity_pool
+        yield "relu_final", self.relu_final
+
     def layer_shapes(self, shape):
         """Rows of (name, layer, input shape) for every named layer, fusion
         branch first, and the module's output shape, for a (c, h, w) input."""

@@ -8,8 +8,15 @@ class Network(Chain):
 
     Forward feeds each item's output into the next; backward runs the chain
     in reverse. Parameter names are ``<item>.<param>`` (modules add their own
-    sub-layer prefix).
+    sub-layer prefix); layer paths are ``<item>/<path>``.
+
+    An eval forward keeps no backward state: as each item returns (a folded
+    conv and batch norm count as one), its cache and the caches of every
+    layer inside it are cleared, so a backward after it raises
+    ``RuntimeError``. A train forward caches everything again.
     """
+
+    sep = "/"
 
     def __init__(self, items, in_channels, input_size, num_classes):
         super().__init__(*items)
@@ -17,6 +24,13 @@ class Network(Chain):
         self.in_channels = in_channels
         self.input_size = input_size
         self.num_classes = num_classes
+
+    def _eval_ran(self, steps):
+        for step in steps:
+            step._cache = None
+            if isinstance(step, Composite):
+                for _, layer in step.all_layers():
+                    layer._cache = None
 
     def named_params(self):
         return self.params.items()
@@ -31,7 +45,7 @@ class Network(Chain):
             if isinstance(item, Composite):
                 rows, shape = item.layer_shapes(shape)
                 for ln, layer, in_shape in rows:
-                    yield f"{name}/{ln}", layer, in_shape
+                    yield f"{name}{self.sep}{ln}", layer, in_shape
             else:
                 yield name, item, shape
                 shape = item.out_shape(shape)

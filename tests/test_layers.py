@@ -555,21 +555,41 @@ class TestBatchNormFold:
         for config in configs:
             assert_fold_agrees(rng, batch, *config)
 
-    def test_eval_network_forward_keeps_no_batch_norm_array(self):
-        # a folded batch norm caches its conv, not a copy of the conv's
-        # output as an unfolded eval batch norm does
+    def test_eval_network_forward_keeps_no_cache(self):
+        # no backward follows an eval network forward, so each item drops
+        # its caches, the folded batch norms' included, as it returns
         cfg = MENetConfig.from_notation("228-MENet-12x1", groups=3,
                                         num_classes=10, input_size=64)
         net = build_menet(cfg, seed=0)
         net.forward(np.random.default_rng(15).normal(size=(1, 3, 64, 64)),
                     train=False)
-        bns = list(net.batchnorms())
-        assert bns
-        for name, bn in bns:
-            cache = bn._cache
-            held = cache if isinstance(cache, tuple) else (cache,)
-            assert cache is not None, name
-            assert not any(isinstance(a, np.ndarray) for a in held), name
+        walk = list(net.all_layers())
+        assert any(isinstance(layer, BatchNorm2d) for _, layer in walk)
+        for path, layer in walk:
+            assert layer._cache is None, path
+        modules = [m for _, m in net.items if isinstance(m, MEModule)]
+        assert modules
+        assert all(m._cache is None for m in modules)
+
+    @pytest.mark.parametrize("downsample", [False, True])
+    def test_eval_module_forward_keeps_no_batch_norm_array(self, downsample):
+        # run on its own, a module keeps its caches for a backward; a
+        # folded batch norm caches its conv, not a copy of the conv's
+        # output as an unfolded eval batch norm does
+        rng = np.random.default_rng(15)
+        cfg = MEModuleConfig(12 if downsample else 24, 24, 3, 3,
+                             downsample=downsample)
+        module = MEModule(cfg, rng=rng)
+        module.forward(rng.normal(size=(1, cfg.in_channels, 8, 8)),
+                       train=False)
+        walk = list(module.all_layers())
+        folded = [(path, before, bn)
+                  for (_, before), (path, bn) in zip(walk, walk[1:])
+                  if isinstance(bn, BatchNorm2d)]
+        assert len(folded) == len(list(module.batchnorms())) == 6
+        for path, conv, bn in folded:
+            assert isinstance(conv, Conv2d), path
+            assert bn._cache is conv, path
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="expected 1 channels, got 4"):

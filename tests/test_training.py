@@ -288,6 +288,27 @@ class TestTrainLoop:
         net, data, history = self._run(epochs=8)
         assert evaluate(net, data) == 1.0
 
+    def test_evaluation_between_train_steps_changes_nothing(self):
+        data = make_synthetic_dataset(count=16, size=8, classes=2, seed=0)
+        runs = []
+        for evaluate_between in (False, True):
+            net = build_menet(tiny_config(), seed=1)
+            sched = Schedule(base_lr=0.05, step_epochs=30, total_epochs=30)
+            opt = SGD(lr=sched.base_lr, momentum=0.9, weight_decay=4e-5)
+            train_loop(net, data, sched, opt, epochs=1, batch_size=16)
+            if evaluate_between:
+                evaluate(net, data)
+            train_loop(net, data, sched, opt, epochs=1, seed=1,
+                       batch_size=16)
+            stats = {f"{name}.{attr}": getattr(bn, attr)
+                     for name, bn in net.batchnorms()
+                     for attr in ("running_mean", "running_var")}
+            runs.append((net.params, net.grads, stats, opt.velocity))
+        for kept, evaluated in zip(*runs):
+            assert kept.keys() == evaluated.keys()
+            for key, value in kept.items():
+                assert np.array_equal(value, evaluated[key]), key
+
     def test_channel_mismatch_rejected(self):
         net = build_menet(tiny_config(), seed=0)
         rgb = make_synthetic_dataset(count=8, size=8, seed=0)
