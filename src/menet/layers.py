@@ -2,10 +2,12 @@
 
 Each layer caches whatever the backward pass needs during forward. Backward
 returns the gradient w.r.t. the input and accumulates parameter gradients
-into ``self.grads`` (same keys as ``self.params``). A layer, ``Chain`` or
-module run on its own keeps that cache in eval too, so a backward can
-follow; an eval ``Network.forward`` clears each item's caches as soon as
-the item returns (see ``network.py``).
+into ``self.grads`` (keys from ``self.params``). A gradient array appears
+at the first backward, as zeros it adds into, and ``zero_grad`` drops them
+all: a layer only built, saved, loaded or run forward holds none. A layer,
+``Chain`` or module run on its own keeps that cache in eval too, so a
+backward can follow; an eval ``Network.forward`` clears each item's caches
+as soon as the item returns (see ``network.py``).
 
 Training runs the reference convolution, ``conv2d_raw`` and
 ``conv2d_backward_raw``: a shifted-window loop over (input channel within
@@ -45,12 +47,26 @@ import numpy as np
 from .tensor import ShapeError, check_groups, check_nchw
 
 
+class _Grads(dict):
+    """Gradients by parameter name; a missing one is stored as zeros of its
+    parameter's shape when first read, so ``grads[k] += g`` adds to 0."""
+
+    def __init__(self, params):
+        super().__init__()
+        self.params = params
+
+    def __missing__(self, name):
+        p = self.params[name]
+        grad = self[name] = np.zeros(p.shape, p.dtype)
+        return grad
+
+
 class Layer:
     """Base class: parameter/gradient bookkeeping and the fwd/bwd contract."""
 
     def __init__(self):
         self.params = {}
-        self.grads = {}
+        self.grads = _Grads(self.params)
         self._cache = None
 
     def forward(self, x, train=False):
@@ -68,13 +84,11 @@ class Layer:
         return 0
 
     def zero_grad(self):
-        for k, v in self.params.items():
-            self.grads[k] = np.zeros_like(v)
+        self.grads.clear()
 
     def _register(self, name, value):
+        # no gradient: it appears at the first backward, zero_grad drops it
         self.params[name] = value
-        # np.zeros, unlike zeros_like, leaves pages no backward writes unmapped
-        self.grads[name] = np.zeros(value.shape, value.dtype)
 
     def _need_cache(self):
         if self._cache is None:
@@ -566,9 +580,9 @@ class Composite:
                 for name, layer in self.named_layers().items()}
 
     def _per_layer(self, attr):
-        return {f"{ln}.{key}": value
+        return {f"{ln}.{key}": getattr(layer, attr)[key]
                 for ln, layer in self.named_layers().items()
-                for key, value in getattr(layer, attr).items()}
+                for key in layer.params}
 
     params = property(lambda self: self._per_layer("params"))
     grads = property(lambda self: self._per_layer("grads"))

@@ -2,9 +2,10 @@
 writer and one reader: a ``<base>.json`` manifest (``format``, ``version``,
 ``dtype``, fields of its own, and each array's name, shape, byte offset,
 byte count and CRC32) and a ``<base>.bin`` blob of the arrays' raw
-little-endian values in that order. Before returning any array the reader
-checks format, version, dtype and names, each entry's bounds, checksum and
-byte count against its shape, and that the entries tile the blob.
+little-endian values in that order, streamed from each array's own memory
+(no copy of the blob is made). Before returning any array the reader checks
+format, version, dtype and names, each entry's bounds, checksum and byte
+count against its shape, and that the entries tile the blob.
 
 Weights: ``menet-weights`` v1, float64 (lossless), the parameters, then
 each batch norm's running statistics, so eval mode survives a round trip.
@@ -47,15 +48,15 @@ def _write(base, kind, arrays, **fields):
     manifest_path, blob_path = _paths(base)
     manifest = {"format": fmt, "version": version, "dtype": dtype.name,
                 **fields, "params": []}
-    blob = bytearray()
-    for name, arr in arrays:
-        raw = np.ascontiguousarray(arr, dtype=dtype).tobytes()
-        manifest["params"].append({
-            "name": name, "shape": list(arr.shape), "offset": len(blob),
-            "nbytes": len(raw), "crc32": zlib.crc32(raw)})
-        blob += raw
     blob_path.parent.mkdir(parents=True, exist_ok=True)
-    blob_path.write_bytes(bytes(blob))
+    with open(blob_path, "wb") as blob:
+        for name, arr in arrays:
+            flat = np.ascontiguousarray(arr, dtype=dtype).reshape(-1)
+            raw = memoryview(flat).cast("B")  # a view: no bytes copied
+            manifest["params"].append({
+                "name": name, "shape": list(arr.shape), "offset": blob.tell(),
+                "nbytes": len(raw), "crc32": zlib.crc32(raw)})
+            blob.write(raw)
     manifest_path.write_text(json.dumps(manifest, indent=1))
     return manifest_path
 

@@ -137,7 +137,9 @@ class Dataset:
             raise ValueError("images must be (count, c, h, w) with matching labels")
         if len(images) == 0:
             raise ValueError("dataset is empty")
-        if not np.all((images >= 0) & (images <= 255) & (images % 1 == 0)):
+        # a u8 array holds only integers in [0, 255]; others are checked
+        if images.dtype != np.uint8 and not np.all(
+                (images >= 0) & (images <= 255) & (images % 1 == 0)):
             raise ValueError(f"pixels must be integers in [0, 255], got "
                              f"[{images.min()}, {images.max()}]")
         self.images = images.astype(np.uint8)
@@ -153,7 +155,12 @@ class Dataset:
         return len(self.images)
 
     def as_float(self):
-        return self.images.astype(np.float64) / 127.5 - 1.0
+        return _to_float(self.images)
+
+
+def _to_float(pixels):
+    """u8 pixels as float64 in [-1, 1]."""
+    return pixels.astype(np.float64) / 127.5 - 1.0
 
 
 def make_synthetic_dataset(count=64, size=8, classes=2, seed=0):
@@ -192,12 +199,12 @@ def train_loop(net: Network, data: Dataset, sched: Schedule, opt: SGD,
     for name, value in (("epochs", epochs), ("batch_size", batch_size)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
-    x_all = data.as_float()
-    if x_all.shape[1] != net.in_channels:
+    shape = data.images.shape[1:]
+    if shape[0] != net.in_channels:
         raise ValueError(
-            f"dataset has {x_all.shape[1]} channels, network expects "
+            f"dataset has {shape[0]} channels, network expects "
             f"{net.in_channels}")
-    _check_smallest_batch(net, x_all.shape[1:], len(data), batch_size)
+    _check_smallest_batch(net, shape, len(data), batch_size)
     y_all = data.labels.astype(int)
     rng = np.random.default_rng(seed)
     history = []
@@ -210,7 +217,7 @@ def train_loop(net: Network, data: Dataset, sched: Schedule, opt: SGD,
             idx = order[start:start + batch_size]
             yb = y_all[idx]
             net.zero_grad()
-            logits = net.forward(x_all[idx], train=True)
+            logits = net.forward(_to_float(data.images[idx]), train=True)
             loss, grad = cross_entropy(logits, yb)
             limit = DIVERGENCE_FACTOR * math.log(logits.shape[1])
             if not loss <= limit:
@@ -246,11 +253,11 @@ def _check_smallest_batch(net, shape, count, batch_size):
 
 def evaluate(net: Network, data: Dataset):
     """Eval-mode accuracy (running BN statistics), 64 samples at a time."""
-    x_all = data.as_float()
     y_all = data.labels.astype(int)
     correct = 0
     for start in range(0, len(data), 64):
-        logits = net.forward(x_all[start:start + 64], train=False)
+        logits = net.forward(_to_float(data.images[start:start + 64]),
+                             train=False)
         correct += int((logits.argmax(axis=1) == y_all[start:start + 64]).sum())
     return correct / len(data)
 

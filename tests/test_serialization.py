@@ -443,3 +443,40 @@ def test_extended_blob_detected(archives, kind):
     with pytest.raises(ValueError, match=f"blob has {len(blob) + 16} bytes, "
                                          f"entries cover {len(blob)}"):
         load(kind, base, tiny_net())
+
+
+def test_save_weights_streams_the_arrays(tmp_path, traced):
+    # building the blob in memory peaked 29.7 MiB above the start here
+    cfg = MENetConfig.from_notation("228-MENet-12x1", groups=3)
+    net = build_menet(cfg, seed=0)
+    _, _, peak = traced(lambda: save_weights(net, tmp_path / "w"))
+    assert peak < 2 ** 20
+    back = build_menet(cfg, seed=1)
+    load_weights(back, tmp_path / "w")
+    for name, p in net.params.items():
+        assert np.array_equal(back.params[name], p), name
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_non_contiguous_images_write_contiguous_bytes(tmp_path, layout):
+    data = make_synthetic_dataset(count=6, size=4, classes=2, seed=3)
+    if layout == "fortran":
+        odd = Dataset(np.asfortranarray(data.images), data.labels, 2)
+    else:   # the constructor copies to contiguous, so set the view after
+        odd = Dataset(data.images, data.labels, 2)
+        odd.images = np.repeat(data.images, 2, axis=3)[..., ::2]
+    assert not odd.images.flags.c_contiguous
+    assert np.array_equal(odd.images, data.images)
+    save_dataset(odd, tmp_path / "odd")
+    save_dataset(data, tmp_path / "c")
+    for suffix in ("json", "bin"):
+        assert ((tmp_path / f"odd.{suffix}").read_bytes()
+                == (tmp_path / f"c.{suffix}").read_bytes()), suffix
+
+
+def test_zero_size_axis_round_trips(tmp_path):
+    data = Dataset(np.zeros((2, 0, 3, 3), np.uint8), [0, 1], 2)
+    save_dataset(data, tmp_path / "d")
+    back = load_dataset(tmp_path / "d")
+    assert back.images.shape == (2, 0, 3, 3)
+    assert back.labels.tolist() == [0, 1]

@@ -251,6 +251,15 @@ class TestSyntheticData:
         data = Dataset(np.full((2, 3, 4, 4), 255.0), [0, 1], 2)
         assert data.images.dtype == np.uint8 and data.images.max() == 255
 
+    def test_u8_images_checked_without_temporaries(self, traced):
+        # range and integrality temporaries peaked at 3x the image bytes
+        images = np.random.default_rng(0).integers(
+            0, 256, size=(256, 3, 64, 64), dtype=np.uint8)
+        data, _, peak = traced(lambda: Dataset(images, np.arange(256) % 2, 2))
+        assert np.array_equal(data.images, images)
+        assert data.images is not images
+        assert peak < 1.1 * images.nbytes
+
     def test_classes_are_separable_by_band_position(self):
         data = make_synthetic_dataset(count=32, size=8, classes=2, seed=4)
         left = data.images[:, :, :, :4].mean(axis=(1, 2, 3))
@@ -394,3 +403,69 @@ class TestTrainLoop:
         history = train_loop(net, data, sched, SGD(lr=0.05), epochs=1,
                              batch_size=16)
         assert np.isfinite(history[0][2])
+
+
+def readme_desk_run():
+    """The README's make-synth set and the net, schedule and SGD of its
+    train command."""
+    data = make_synthetic_dataset(count=32, size=8, classes=2, seed=0)
+    cfg = MENetConfig.from_notation("8-MENet-1x1", groups=2,
+                                    stage_repeats=[1, 1, 1], stem_channels=4,
+                                    stem_pool=False, num_classes=2)
+    sched = Schedule(base_lr=0.05, step_epochs=30, total_epochs=30)
+    opt = SGD(lr=0.05, momentum=0.9, weight_decay=4e-5)
+    return data, build_menet(cfg, seed=0), sched, opt
+
+
+def whole_set_history(net, data, sched, opt, epochs, batch_size):
+    """``train_loop``'s steps and records, with the whole set converted to
+    float before the first step."""
+    x_all, y_all = data.as_float(), data.labels.astype(int)
+    rng = np.random.default_rng(0)
+    history = []
+    for epoch in range(epochs):
+        opt.lr = sched.lr_at(epoch)
+        order = rng.permutation(len(data))
+        losses, correct = [], 0
+        for start in range(0, len(data), batch_size):
+            idx = order[start:start + batch_size]
+            net.zero_grad()
+            logits = net.forward(x_all[idx], train=True)
+            loss, grad = cross_entropy(logits, y_all[idx])
+            net.backward(grad)
+            opt.step(net)
+            losses.append(loss * len(idx))
+            correct += int((logits.argmax(axis=1) == y_all[idx]).sum())
+        history.append((epoch, opt.lr, sum(losses) / len(data),
+                        correct / len(data)))
+    return history
+
+
+class TestBatchConversion:
+    def test_readme_desk_run_matches_whole_set_conversion(self):
+        data, net, sched, opt = readme_desk_run()
+        history = train_loop(net, data, sched, opt, epochs=24, batch_size=16)
+        _, ref, ref_sched, ref_opt = readme_desk_run()
+        want = whole_set_history(ref, data, ref_sched, ref_opt, epochs=24,
+                                 batch_size=16)
+        assert repr(history) == repr(want)
+        for name, p in net.params.items():
+            assert p.tobytes() == ref.params[name].tobytes(), name
+        x_all = data.as_float()
+        correct = sum(int((net.forward(x_all[s:s + 64], train=False)
+                           .argmax(axis=1) == data.labels[s:s + 64]).sum())
+                      for s in range(0, len(data), 64))
+        assert repr(evaluate(net, data)) == repr(correct / len(data))
+
+    def test_evaluate_memory_does_not_grow_with_the_set(self, traced):
+        # converting the whole set up front added its float copy, 8x the
+        # u8 images, to the peak
+        net = build_menet(tiny_config(input_size=32), seed=1)
+        images = np.random.default_rng(0).integers(
+            0, 256, size=(256, 3, 32, 32), dtype=np.uint8)
+        sets = {n: Dataset(images[:n], np.arange(n) % 2, 2) for n in (64, 256)}
+        evaluate(net, sets[64])     # fill the geometry caches first
+        peaks = {n: traced(lambda: evaluate(net, data))[2]
+                 for n, data in sets.items()}
+        whole_set_floats = 8 * images.nbytes
+        assert peaks[256] - peaks[64] < 0.05 * whole_set_floats
