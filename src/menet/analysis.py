@@ -6,7 +6,7 @@ paths can be compared without tolerance. Cost accounting walks a built
 network symbolically (no forward pass), asking each layer for its output
 shape and MACs. Only convolutions and the fully-connected head have MACs
 (the "conv-fc-macs" policy, 1 MAC = 1 FLOP); batch norm, pooling,
-activations and the shuffle count as free.
+activations and the shuffle count as free, but each still gets its row.
 """
 
 from dataclasses import dataclass, field
@@ -223,12 +223,12 @@ class CostReport:
 
 
 def count_cost(net: Network, input_shape=None) -> CostReport:
-    """Per-layer MAC and parameter counts via symbolic shape propagation,
-    for a (c, h, w) input (default: the network's own input size)."""
+    """MACs and parameters of every layer in ``net.walk``, by symbolic shape
+    propagation, for a (c, h, w) input (default: the net's own)."""
     if input_shape is None:
         input_shape = (net.in_channels, net.input_size, net.input_size)
     report = CostReport()
-    for name, layer, shape in net.layer_shapes(tuple(input_shape)):
+    for name, layer, shape in net.walk(tuple(input_shape)):
         report.entries.append(CostEntry(
             name, layer.out_shape(shape), layer.macs(shape),
             sum(p.size for p in layer.params.values())))

@@ -38,6 +38,9 @@ A batch norm run on its own in eval is one affine pass with the same scale
 and shift. The test suite holds ``conv2d_gemm`` to within 1e-12 of
 ``conv2d_raw``, and the folded pair to within 1e-12 of the unfolded one,
 relative to the largest output, on every conv of the reference models.
+
+A ``Composite`` (chain, module, network) lists its layers in one place, its
+``walk``: its parameters, gradients, batch norms and cost rows follow it.
 """
 
 import functools
@@ -570,14 +573,23 @@ class Linear(Layer):
 
 
 class Composite:
-    """A unit built from named layers. Its parameters, gradients and batch
-    norms are all read through ``named_layers()`` and keep its order;
-    ``all_layers()`` gives (path, layer) for every layer, parameter-free
-    ones included."""
+    """A unit built from named layers. Its ``walk(shape=None, prefix="")``
+    yields (prefix + path, layer, input shape) for every layer in dataflow
+    order, parameter-free ones included, and returns the output shape (all
+    None without an input shape). The layer list, parameters, gradients and
+    batch norms are read from it in its order; parameter names read a
+    ``sep`` in a path as ``.``."""
 
-    def prefixed_layers(self, prefix):
-        return {f"{prefix}.{name}": layer
-                for name, layer in self.named_layers().items()}
+    sep = "."   # joins a composite step's name to the paths inside it
+
+    def all_layers(self):
+        for path, layer, _ in self.walk():
+            yield path, layer
+
+    def named_layers(self):
+        """{parameter-name prefix: layer} for the layers with parameters."""
+        return {path.replace(self.sep, "."): layer
+                for path, layer in self.all_layers() if layer.params}
 
     def _per_layer(self, attr):
         return {f"{ln}.{key}": getattr(layer, attr)[key]
@@ -599,32 +611,21 @@ class Composite:
 
 class Chain(Composite):
     """Runs its steps, (name, layer or composite) pairs, in order forward
-    and in reverse backward. Its named layers are the steps that hold
-    parameters and, under the step name, a composite step's own."""
-
-    sep = "."   # joins a composite step's name to the paths inside it
+    and in reverse backward; a composite step's paths are
+    ``<step><sep><path>``."""
 
     def __init__(self, *steps):
         self.steps = list(steps)
 
-    def all_layers(self):
-        """(path, layer) for every layer in dataflow order, a composite
-        step's as ``<step><sep><path>``."""
+    def walk(self, shape=None, prefix=""):
         for name, step in self.steps:
             if isinstance(step, Composite):
-                for path, layer in step.all_layers():
-                    yield f"{name}{self.sep}{path}", layer
+                shape = yield from step.walk(
+                    shape, f"{prefix}{name}{self.sep}")
             else:
-                yield name, step
-
-    def named_layers(self):
-        out = {}
-        for name, step in self.steps:
-            if isinstance(step, Composite):
-                out.update(step.prefixed_layers(name))
-            elif step.params:
-                out[name] = step
-        return out
+                yield f"{prefix}{name}", step, shape
+                shape = None if shape is None else step.out_shape(shape)
+        return shape
 
     def forward(self, x, train=False):
         if train:
@@ -652,17 +653,3 @@ class Chain(Composite):
         for _, step in reversed(self.steps):
             grad_out = step.backward(grad_out)
         return grad_out
-
-    def layer_shapes(self, shape):
-        """Rows of (name, layer, input shape) for the named layers in
-        dataflow order, and the output shape, for a (c, h, w) input."""
-        rows = []
-        for name, step in self.steps:
-            if isinstance(step, Composite):
-                sub, shape = step.layer_shapes(shape)
-                rows += [(f"{name}.{sn}", layer, s) for sn, layer, s in sub]
-                continue
-            if step.params:
-                rows.append((name, step, shape))
-            shape = step.out_shape(shape)
-        return rows, shape

@@ -15,8 +15,9 @@ pointwise+BN, and a final ReLU after the add/concat.
 
 The module holds four layer chains: ``trunk`` (pw1, bn1, relu1, shuffle),
 ``depthwise`` (dw, bn_dw), ``fusion`` (merging, evolution) and ``project``
-(pw2, bn2). Forward, backward, shapes and the archive order read them; only
-the elementwise combine and the skip are written out by hand.
+(pw2, bn2). Forward, backward and the one walk (every layer in dataflow
+order, with its input shape) read them; only the elementwise combine and
+the skip are written out by hand.
 """
 
 from dataclasses import dataclass
@@ -160,34 +161,20 @@ class MEModule(Composite):
         self.project = Chain(("pw2", self.pw2), ("bn2", self.bn2))
         self._cache = None
 
-    def named_layers(self):
-        return {name: layer
-                for chain in (self.trunk, self.depthwise, self.project,
-                              self.fusion)
-                for name, layer in chain.named_layers().items()}
-
-    def all_layers(self):
-        """(path, layer) for every layer: the chains in ``layer_shapes``
-        order (trunk, fusion, depthwise, project), then the skip's pool and
-        the final ReLU."""
-        for chain in (self.trunk, self.fusion, self.depthwise, self.project):
-            yield from chain.all_layers()
+    def walk(self, shape=None, prefix=""):
+        """The chains in dataflow order (trunk, fusion, depthwise, project),
+        then the skip's pool and the final ReLU, which takes the sum or the
+        concat of skip and residual."""
+        s = yield from self.trunk.walk(shape, prefix)
+        yield from self.fusion.walk(s, prefix)
+        d = yield from self.depthwise.walk(s, prefix)
+        out = yield from self.project.walk(d, prefix)
         if self.identity_pool is not None:
-            yield "identity_pool", self.identity_pool
-        yield "relu_final", self.relu_final
-
-    def layer_shapes(self, shape):
-        """Rows of (name, layer, input shape) for every named layer, fusion
-        branch first, and the module's output shape, for a (c, h, w) input."""
-        rows, s = self.trunk.layer_shapes(shape)
-        rows += self.fusion.layer_shapes(s)[0]
-        dw_rows, d = self.depthwise.layer_shapes(s)
-        project_rows, res = self.project.layer_shapes(d)
-        rows += dw_rows + project_rows
-        if not self.cfg.downsample:
-            return rows, res
-        ident = self.identity_pool.out_shape(shape)
-        return rows, (ident[0] + res[0],) + res[1:]
+            yield f"{prefix}identity_pool", self.identity_pool, shape
+            if shape is not None:
+                out = (shape[0] + out[0], *out[1:])
+        yield f"{prefix}relu_final", self.relu_final, out
+        return out
 
     def forward(self, x, train=False):
         cfg = self.cfg

@@ -7,8 +7,8 @@ class Network(Chain):
     """A named, ordered sequence of layers and modules.
 
     Forward feeds each item's output into the next; backward runs the chain
-    in reverse. Parameter names are ``<item>.<param>`` (modules add their own
-    sub-layer prefix); layer paths are ``<item>/<path>``.
+    in reverse. Layer paths are ``<item>/<path>`` (``stage2.0/merge.conv``);
+    parameter names read the ``/`` as ``.``.
 
     An eval forward keeps no backward state: as each item returns (a folded
     conv and batch norm count as one), its cache and the caches of every
@@ -38,14 +38,3 @@ class Network(Chain):
     def param_dict(self):
         return self.params
 
-    def layer_shapes(self, shape):
-        """Yield (name, layer, input shape) for every layer, a composite
-        item's named layers as ``<item>/<layer>``, from a (c, h, w) input."""
-        for name, item in self.items:
-            if isinstance(item, Composite):
-                rows, shape = item.layer_shapes(shape)
-                for ln, layer, in_shape in rows:
-                    yield f"{name}{self.sep}{ln}", layer, in_shape
-            else:
-                yield name, item, shape
-                shape = item.out_shape(shape)

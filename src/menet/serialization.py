@@ -5,10 +5,13 @@ byte count and CRC32) and a ``<base>.bin`` blob of the arrays' raw
 little-endian values in that order, streamed from each array's own memory
 (no copy of the blob is made). Before returning any array the reader checks
 format, version, dtype and names, each entry's bounds, checksum and byte
-count against its shape, and that the entries tile the blob.
+count against its shape, and that the entries tile the blob; it returns
+writable views into its one copy of the blob.
 
 Weights: ``menet-weights`` v1, float64 (lossless), the parameters, then
-each batch norm's running statistics, so eval mode survives a round trip.
+each batch norm's running statistics, so eval mode survives a round trip,
+both in walk order. The reader goes by name, so v1 archives in the earlier
+order (each module's fusion branch last) load the same.
 Datasets: ``menet-dataset`` v2, uint8, with ``class_count``; ``images``
 (count, c, h, w), then ``labels`` (count,).
 """
@@ -57,7 +60,8 @@ def _write(base, kind, arrays, **fields):
                 "name": name, "shape": list(arr.shape), "offset": blob.tell(),
                 "nbytes": len(raw), "crc32": zlib.crc32(raw)})
             blob.write(raw)
-    manifest_path.write_text(json.dumps(manifest, indent=1))
+    with open(manifest_path, "w") as f:
+        json.dump(manifest, f, indent=1)
     return manifest_path
 
 
@@ -84,7 +88,8 @@ def _read(base, kind, shapes):
     unknown = [e["name"] for e in manifest["params"] if e["name"] not in shapes]
     if unknown:
         raise KeyError(f"archive parameter {unknown[0]!r} not in {holder}")
-    blob = memoryview(blob_path.read_bytes())  # slices copy nothing
+    # writable, and slices copy nothing
+    blob = memoryview(np.fromfile(blob_path, dtype=np.uint8))
     arrays, spans = {}, []
     for entry in manifest["params"]:
         name = entry["name"]

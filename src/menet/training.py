@@ -124,6 +124,10 @@ def _check_class_count(classes):
 
 @dataclass
 class Dataset:
+    """Images and labels stored as u8. A u8 array is kept, sharing memory
+    with the caller's (``load_dataset`` holds one copy of the pixels); any
+    other is checked, then copied to u8."""
+
     images: np.ndarray  # u8, (count, c, h, w)
     labels: np.ndarray  # u8 class ids
     class_count: int
@@ -142,20 +146,17 @@ class Dataset:
                 (images >= 0) & (images <= 255) & (images % 1 == 0)):
             raise ValueError(f"pixels must be integers in [0, 255], got "
                              f"[{images.min()}, {images.max()}]")
-        self.images = images.astype(np.uint8)
+        self.images = images.astype(np.uint8, copy=False)
         # the range test goes first, so ``% 1`` never sees inf or nan
         if not (np.all((labels >= 0) & (labels < self.class_count))
                 and np.all(labels % 1 == 0)):
             raise ValueError(
                 f"labels must be integers in [0, {self.class_count}), got "
                 f"[{labels.min()}, {labels.max()}]")
-        self.labels = labels.astype(np.uint8)
+        self.labels = labels.astype(np.uint8, copy=False)
 
     def __len__(self):
         return len(self.images)
-
-    def as_float(self):
-        return _to_float(self.images)
 
 
 def _to_float(pixels):
@@ -242,7 +243,7 @@ def _check_smallest_batch(net, shape, count, batch_size):
     """Reject, before any step, a split into batches whose smallest batch
     leaves some batch norm fewer than 2 values per channel."""
     smallest = count % batch_size or batch_size
-    for name, layer, (_, h, w) in net.layer_shapes(shape):
+    for name, layer, (_, h, w) in net.walk(shape):
         if isinstance(layer, BatchNorm2d) and smallest * h * w < 2:
             raise ValueError(
                 f"{count} samples at batch size {batch_size} leave a last "

@@ -155,10 +155,10 @@ def gradcheck_tiny_modules():
 
 def conv_configs(source, size=32):
     """Distinct (cin, cout, k, stride, groups, h, w) of every Conv2d the
-    source's ``layer_shapes`` yields; reference models at ``size`` px,
+    source's ``walk`` yields; reference models at ``size`` px,
     gradcheck-tiny modules at 5 px."""
     if source == "gradcheck-tiny":
-        walks = [module.layer_shapes((module.cfg.in_channels, 5, 5))[0]
+        walks = [module.walk((module.cfg.in_channels, 5, 5))
                  for module in gradcheck_tiny_modules()]
     else:
         if source == "desk":
@@ -168,8 +168,7 @@ def conv_configs(source, size=32):
             cfg = MENetConfig.from_notation(notation, groups=int(groups),
                                             num_classes=10,
                                             input_size=size)
-        walks = [build_menet(cfg).layer_shapes((3, cfg.input_size,
-                                                cfg.input_size))]
+        walks = [build_menet(cfg).walk((3, cfg.input_size, cfg.input_size))]
     return sorted({(layer.in_channels, layer.out_channels, layer.kernel,
                     layer.stride, layer.groups, h, w)
                    for walk in walks for _, layer, (_, h, w) in walk

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from menet.layers import Conv2d
 from menet.me_module import EvolutionOp, MEModule, MEModuleConfig, MergingOp
+from menet.network import Network
 from menet.tensor import ShapeError, concat_channels, elementwise_combine
 
 
@@ -178,24 +180,53 @@ class TestParamsSurface:
         assert all(np.abs(g).sum() == 0 for g in module.grads.values())
 
 
+def walked(unit, shape):
+    """The rows of ``unit.walk(shape)`` and the output shape it returns."""
+    walk, rows = unit.walk(shape), []
+    while True:
+        try:
+            rows.append(next(walk))
+        except StopIteration as stop:
+            return rows, stop.value
+
+
+def assert_walk_matches_forward(unit, x):
+    """Every walked layer, parameter-free ones included, sees in a train
+    forward the input shape the walk gives it, and the walk returns the
+    output shape."""
+    rows, out_shape = walked(unit, x.shape[1:])
+    seen = {}
+    for path, layer, _ in rows:
+        def recording(x, *args, path=path, forward=layer.forward, **kw):
+            seen[path] = x.shape[1:]
+            return forward(x, *args, **kw)
+        layer.forward = recording
+    out = unit.forward(x, train=True)
+    assert {path: shape for path, _, shape in rows} == seen
+    assert len(rows) == len(seen)
+    assert out_shape == out.shape[1:]
+
+
 @pytest.mark.parametrize("combine_mode", ["product", "addition"])
 @pytest.mark.parametrize("downsample", [False, True])
 def test_layer_shapes_match_forward(combine_mode, downsample):
     cfg = MEModuleConfig(8, 16 if downsample else 8, 2, 2,
                          downsample=downsample, combine_mode=combine_mode)
-    module = make(cfg)
-    seen = {}
-    for name, layer in module.named_layers().items():
-        def recording(x, train=False, name=name, forward=layer.forward):
-            seen[name] = x.shape[1:]
-            return forward(x, train)
-        layer.forward = recording
     x = np.random.default_rng(10).normal(size=(2, 8, 7, 7))
-    out = module.forward(x, train=True)
-    rows, out_shape = module.layer_shapes(x.shape[1:])
-    assert {name: shape for name, _, shape in rows} == seen
-    assert len(rows) == len(seen)
-    assert out_shape == out.shape[1:]
+    assert_walk_matches_forward(make(cfg), x)
+
+
+def test_network_walk_shapes_match_forward():
+    """Through a network's ``/`` paths, a downsampling module's skip concat
+    and both modules' final ReLUs."""
+    rng = np.random.default_rng(13)
+    net = Network([
+        ("stem.conv", Conv2d(3, 4, 3, stride=2, rng=rng)),
+        ("stage2.0", MEModule(MEModuleConfig(4, 8, 1, 2, downsample=True),
+                              rng=rng)),
+        ("stage2.1", MEModule(MEModuleConfig(8, 8, 1, 2), rng=rng))],
+        in_channels=3, input_size=9, num_classes=8)
+    assert_walk_matches_forward(net, rng.normal(size=(2, 3, 9, 9)))
 
 
 def test_backward_before_forward_rejected():
@@ -209,10 +240,12 @@ def test_backward_before_forward_rejected():
 # bit for bit. In eval it folds each conv->BN pair as the chains do.
 
 def reference_named_layers(m):
-    return {"pw1": m.pw1, "bn1": m.bn1, "dw": m.dw, "bn_dw": m.bn_dw,
-            "pw2": m.pw2, "bn2": m.bn2,
-            **m.merging.prefixed_layers("merge"),
-            **m.evolution.prefixed_layers("evo")}
+    evo = m.evolution
+    return {"pw1": m.pw1, "bn1": m.bn1, "merge.conv": m.merging.conv,
+            "merge.bn": m.merging.bn, "evo.conv_e": evo.conv_e,
+            "evo.bn_e": evo.bn_e, "evo.conv_m": evo.conv_m,
+            "evo.bn_m": evo.bn_m, "dw": m.dw, "bn_dw": m.bn_dw,
+            "pw2": m.pw2, "bn2": m.bn2}
 
 
 def conv_bn(conv, bn, x, train):
@@ -308,9 +341,10 @@ def test_chains_bit_identical_to_hand_wired_reference(combine_mode,
     for (name, bn), (_, ref_bn) in zip(module.batchnorms(), ref.batchnorms()):
         assert np.array_equal(bn.running_mean, ref_bn.running_mean), name
         assert np.array_equal(bn.running_var, ref_bn.running_var), name
-    rows, out_shape = module.layer_shapes(x.shape[1:])
+    layers = module.named_layers()
+    rows, out_shape = walked(module, x.shape[1:])
+    rows = [row for row in rows if row[0] in layers]
     ref_rows, ref_out_shape = reference_layer_shapes(ref, x.shape[1:])
     assert out_shape == ref_out_shape
     assert [(n, s) for n, _, s in rows] == [(n, s) for n, _, s in ref_rows]
-    layers = module.named_layers()
     assert all(layer is layers[name] for name, layer, _ in rows)

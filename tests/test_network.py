@@ -73,9 +73,9 @@ class TestAllLayers:
     def test_cost_entries_in_cost_order(self, make):
         net = make()
         names = [e.name for e in count_cost(net).entries]
+        assert names == [path for path, _ in net.all_layers()]
         walk = dict(net.all_layers())
-        assert [p for p in walk if p in set(names)] == names
-        for name, layer, _ in net.layer_shapes(
+        for name, layer, _ in net.walk(
                 (net.in_channels, net.input_size, net.input_size)):
             assert walk[name] is layer, name
 

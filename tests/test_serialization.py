@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from menet import serialization
 from menet.builder import MENetConfig, build_menet
 from menet.serialization import (
+    _archive_entries,
     load_dataset,
     load_weights,
     save_dataset,
@@ -30,13 +32,12 @@ def tiny_net(seed=0):
 
 def arange_tiny_net():
     """``tiny_net`` with every archived array set from one running
-    ``arange``, so its archive does not depend on the RNG."""
+    ``arange``, taken in ``OLD_TINY_ARCHIVE_ORDER``, so its archive does
+    not depend on the RNG nor on the order it is written in."""
     net = tiny_net()
-    arrays = list(net.params.values())
-    for _, bn in net.batchnorms():
-        arrays += [bn.running_mean, bn.running_var]
+    arrays = dict(_archive_entries(net))
     start = 0
-    for arr in arrays:
+    for arr in map(arrays.get, OLD_TINY_ARCHIVE_ORDER):
         arr[...] = (np.arange(start, start + arr.size) / 7.0 - 3.0).reshape(
             arr.shape)
         start += arr.size
@@ -83,23 +84,39 @@ def alias_equal_entries(manifest, blob):
     raise AssertionError("no two archive entries hold equal bytes")
 
 
-# every array of tiny_net in archive order: parameters in network order
-# (module layers pw1, bn1, dw, bn_dw, pw2, bn2, merge.*, evo.*), then the
+# every array of tiny_net in archive order: parameters in walk order
+# (module layers pw1, bn1, merge.*, evo.*, dw, bn_dw, pw2, bn2), then the
 # running statistics of every batch norm in the same order
 MODULES = ["stage2.0", "stage3.0", "stage4.0"]
 MODULE_PARAMS = [
+    "pw1.weight", "bn1.gamma", "bn1.beta", "merge.conv.weight",
+    "merge.bn.gamma", "merge.bn.beta", "evo.conv_e.weight", "evo.bn_e.gamma",
+    "evo.bn_e.beta", "evo.conv_m.weight", "evo.bn_m.gamma", "evo.bn_m.beta",
+    "dw.weight", "bn_dw.gamma", "bn_dw.beta", "pw2.weight", "bn2.gamma",
+    "bn2.beta"]
+MODULE_BNS = ["bn1", "merge.bn", "evo.bn_e", "evo.bn_m", "bn_dw", "bn2"]
+# the v1 order written before the walk: each module's fusion branch last
+OLD_MODULE_PARAMS = [
     "pw1.weight", "bn1.gamma", "bn1.beta", "dw.weight", "bn_dw.gamma",
     "bn_dw.beta", "pw2.weight", "bn2.gamma", "bn2.beta", "merge.conv.weight",
     "merge.bn.gamma", "merge.bn.beta", "evo.conv_e.weight", "evo.bn_e.gamma",
     "evo.bn_e.beta", "evo.conv_m.weight", "evo.bn_m.gamma", "evo.bn_m.beta"]
-MODULE_BNS = ["bn1", "bn_dw", "bn2", "merge.bn", "evo.bn_e", "evo.bn_m"]
-TINY_ARCHIVE_ORDER = (
-    ["stem.conv.weight", "stem.bn.gamma", "stem.bn.beta"]
-    + [f"{m}.{p}" for m in MODULES for p in MODULE_PARAMS]
-    + ["fc.weight", "fc.bias"]
-    + [f"{bn}.{stat}"
-       for bn in ["stem.bn"] + [f"{m}.{b}" for m in MODULES for b in MODULE_BNS]
-       for stat in ("running_mean", "running_var")])
+OLD_MODULE_BNS = ["bn1", "bn_dw", "bn2", "merge.bn", "evo.bn_e", "evo.bn_m"]
+
+
+def tiny_archive_order(module_params, module_bns):
+    return (
+        ["stem.conv.weight", "stem.bn.gamma", "stem.bn.beta"]
+        + [f"{m}.{p}" for m in MODULES for p in module_params]
+        + ["fc.weight", "fc.bias"]
+        + [f"{bn}.{stat}"
+           for bn in ["stem.bn"] + [f"{m}.{b}" for m in MODULES
+                                    for b in module_bns]
+           for stat in ("running_mean", "running_var")])
+
+
+TINY_ARCHIVE_ORDER = tiny_archive_order(MODULE_PARAMS, MODULE_BNS)
+OLD_TINY_ARCHIVE_ORDER = tiny_archive_order(OLD_MODULE_PARAMS, OLD_MODULE_BNS)
 
 
 class TestWeightArchive:
@@ -358,14 +375,35 @@ def test_fuzzed_blob_fails_cleanly(archives, kind, edit):
     assert_load_fails(kind, base)
 
 
+def assert_archive_digest(base, golden_name):
+    golden = json.loads((GOLDEN / golden_name).read_text())
+    for suffix in ("json", "bin"):
+        data = base.with_suffix(f".{suffix}").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == golden[suffix], suffix
+
+
 def test_archive_bytes_are_frozen(tmp_path):
     """A weight archive of fixed arrays keeps its bytes, checked as the
     SHA-256 of both files."""
     save_weights(arange_tiny_net(), tmp_path / "w")
-    golden = json.loads((GOLDEN / "tiny_net_archive.sha256.json").read_text())
-    for suffix in ("json", "bin"):
-        data = (tmp_path / f"w.{suffix}").read_bytes()
-        assert hashlib.sha256(data).hexdigest() == golden[suffix], suffix
+    assert_archive_digest(tmp_path / "w", "tiny_net_archive.sha256.json")
+
+
+def test_old_order_archive_loads_exactly(tmp_path):
+    """A v1 archive in the entry order written before the walk, the same
+    bytes as then, loads every array exactly."""
+    net = arange_tiny_net()
+    arrays = dict(_archive_entries(net))
+    serialization._write(tmp_path / "w", serialization._WEIGHTS,
+                         [(name, arrays[name])
+                          for name in OLD_TINY_ARCHIVE_ORDER])
+    assert_archive_digest(tmp_path / "w",
+                          "tiny_net_archive_old_order.sha256.json")
+    back = dict(_archive_entries(load_weights(tiny_net(seed=9),
+                                              tmp_path / "w")))
+    assert back.keys() == arrays.keys()
+    for name, arr in arrays.items():
+        assert np.array_equal(back[name], arr), name
 
 
 def flip_bit(path, offset):
@@ -446,11 +484,12 @@ def test_extended_blob_detected(archives, kind):
 
 
 def test_save_weights_streams_the_arrays(tmp_path, traced):
-    # building the blob in memory peaked 29.7 MiB above the start here
+    # building the blob in memory peaked 29.7 MiB above the start here,
+    # and json.dumps of the whole manifest 0.75 MiB
     cfg = MENetConfig.from_notation("228-MENet-12x1", groups=3)
     net = build_menet(cfg, seed=0)
     _, _, peak = traced(lambda: save_weights(net, tmp_path / "w"))
-    assert peak < 2 ** 20
+    assert peak < 0.4 * 2 ** 20
     back = build_menet(cfg, seed=1)
     load_weights(back, tmp_path / "w")
     for name, p in net.params.items():
@@ -461,10 +500,10 @@ def test_save_weights_streams_the_arrays(tmp_path, traced):
 def test_non_contiguous_images_write_contiguous_bytes(tmp_path, layout):
     data = make_synthetic_dataset(count=6, size=4, classes=2, seed=3)
     if layout == "fortran":
-        odd = Dataset(np.asfortranarray(data.images), data.labels, 2)
-    else:   # the constructor copies to contiguous, so set the view after
-        odd = Dataset(data.images, data.labels, 2)
-        odd.images = np.repeat(data.images, 2, axis=3)[..., ::2]
+        images = np.asfortranarray(data.images)
+    else:
+        images = np.repeat(data.images, 2, axis=3)[..., ::2]
+    odd = Dataset(images, data.labels, 2)
     assert not odd.images.flags.c_contiguous
     assert np.array_equal(odd.images, data.images)
     save_dataset(odd, tmp_path / "odd")
@@ -472,6 +511,16 @@ def test_non_contiguous_images_write_contiguous_bytes(tmp_path, layout):
     for suffix in ("json", "bin"):
         assert ((tmp_path / f"odd.{suffix}").read_bytes()
                 == (tmp_path / f"c.{suffix}").read_bytes()), suffix
+
+
+def test_load_dataset_holds_one_copy_of_the_images(tmp_path, traced):
+    # the blob plus the dataset's own copy of it peaked at 2x the images
+    images = np.random.default_rng(0).integers(
+        0, 256, size=(256, 3, 64, 64), dtype=np.uint8)
+    save_dataset(Dataset(images, np.arange(256) % 2, 2), tmp_path / "d")
+    data, _, peak = traced(lambda: load_dataset(tmp_path / "d"))
+    assert np.array_equal(data.images, images)
+    assert peak < 1.25 * images.nbytes
 
 
 def test_zero_size_axis_round_trips(tmp_path):
