@@ -1,11 +1,14 @@
 """Differentiable layer primitives with hand-written backward passes.
 
 Each layer caches whatever the backward pass needs during forward. Backward
-returns the gradient w.r.t. the input and accumulates parameter gradients
-into ``self.grads`` (keys from ``self.params``). A gradient array appears
-at the first backward, as zeros it adds into, and ``zero_grad`` drops them
-all: a layer only built, saved, loaded or run forward holds none. A layer,
-``Chain`` or module run on its own keeps that cache in eval too, so a
+takes that cache, reading it and clearing it, so a cache lives from the
+forward that writes it to the backward that reads it; a second backward
+raises ``RuntimeError``, as does one with no forward. Backward returns the
+gradient w.r.t. the input and accumulates parameter gradients into
+``self.grads`` (keys from ``self.params``). A gradient array appears at the
+first backward, as zeros it adds into, and ``zero_grad`` drops them all: a
+layer only built, saved, loaded or run forward holds none. A layer,
+``Chain`` or module run on its own keeps its cache in eval too, so a
 backward can follow; an eval ``Network.forward`` clears each item's caches
 as soon as the item returns (see ``network.py``).
 
@@ -93,12 +96,19 @@ class Layer:
         # no gradient: it appears at the first backward, zero_grad drops it
         self.params[name] = value
 
-    def _need_cache(self):
+    def _cached(self):
         if self._cache is None:
             raise RuntimeError(
                 f"{type(self).__name__}.backward called without a cached forward"
             )
         return self._cache
+
+    def _take_cache(self):
+        """The last forward's cache, cleared here: each backward reads it
+        once, so it lives only until the backward that needs it."""
+        cache = self._cached()
+        self._cache = None
+        return cache
 
 
 def conv_out_size(size, k, stride, pad):
@@ -213,11 +223,12 @@ class Conv2d(Layer):
 
     def eval_output(self):
         """The unfolded eval output of the cached input: what a batch norm
-        folded into this conv's last forward took as its input."""
-        return self._eval(self._need_cache(), self.params["weight"])
+        folded into this conv's last forward took as its input. The cache
+        stays for this conv's own backward, which runs after the norm's."""
+        return self._eval(self._cached(), self.params["weight"])
 
     def backward(self, grad_out):
-        x = self._need_cache()
+        x = self._take_cache()
         w = self.params["weight"]
         grad_x, grad_w = conv2d_backward_raw(
             x, w, grad_out, self.stride, self.pad, self.groups
@@ -380,7 +391,7 @@ class BatchNorm2d(Layer):
         return inv_std, scale, self.params["beta"] - self.running_mean * scale
 
     def backward(self, grad_out):
-        cache = self._need_cache()
+        cache = self._take_cache()
         if isinstance(cache, tuple):
             xhat, inv_std, m = cache
         else:
@@ -413,7 +424,7 @@ class ReLU(Layer):
         return np.maximum(x, 0.0)
 
     def backward(self, grad_out):
-        mask = self._need_cache()
+        mask = self._take_cache()
         return np.where(mask, grad_out, 0.0)
 
 
@@ -426,7 +437,7 @@ class Sigmoid(Layer):
         return out
 
     def backward(self, grad_out):
-        out = self._need_cache()
+        out = self._take_cache()
         return grad_out * out * (1.0 - out)
 
 
@@ -461,7 +472,7 @@ class ChannelShuffle(Layer):
         return x[:, perm]
 
     def backward(self, grad_out):
-        return grad_out[:, self._need_cache()]
+        return grad_out[:, self._take_cache()]
 
 
 class _Pool3x3s2(Layer):
@@ -485,7 +496,7 @@ class MaxPool3x3s2(_Pool3x3s2):
         return out
 
     def backward(self, grad_out):
-        xp, out, taps = self._need_cache()
+        xp, out, taps = self._take_cache()
         gxp = np.zeros_like(xp)
         claimed = np.zeros_like(out, dtype=bool)
         for _, _, rows, cols in taps:
@@ -509,7 +520,7 @@ class AvgPool3x3s2(_Pool3x3s2):
         return out
 
     def backward(self, grad_out):
-        shape, taps = self._need_cache()
+        shape, taps = self._take_cache()
         gxp = np.zeros(shape)
         for _, _, rows, cols in taps:
             gxp[:, :, rows, cols] += grad_out
@@ -526,7 +537,7 @@ class GlobalAvgPool(Layer):
         return x.mean(axis=(2, 3), keepdims=True)
 
     def backward(self, grad_out):
-        n, c, h, w = self._need_cache()
+        n, c, h, w = self._take_cache()
         return np.broadcast_to(grad_out / (h * w), (n, c, h, w)).copy()
 
 
@@ -565,7 +576,7 @@ class Linear(Layer):
         return flat @ self.params["weight"].T + self.params["bias"]
 
     def backward(self, grad_out):
-        flat = self._need_cache()
+        flat = self._take_cache()
         self.grads["weight"] += grad_out.T @ flat
         self.grads["bias"] += grad_out.sum(axis=0)
         grad_flat = grad_out @ self.params["weight"]

@@ -193,7 +193,7 @@ class MEModule(Composite):
     def backward(self, grad_out):
         if self._cache is None:
             raise RuntimeError("module backward called without a cached forward")
-        d, f = self._cache
+        (d, f), self._cache = self._cache, None
         cfg = self.cfg
         g = self.relu_final.backward(grad_out)
         if cfg.downsample:

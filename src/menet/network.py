@@ -13,7 +13,9 @@ class Network(Chain):
     An eval forward keeps no backward state: as each item returns (a folded
     conv and batch norm count as one), its cache and the caches of every
     layer inside it are cleared, so a backward after it raises
-    ``RuntimeError``. A train forward caches everything again.
+    ``RuntimeError``. A train forward caches everything again, and each
+    cache lives until the backward that reads it: a step's earlier caches
+    are freed as its gradient arrays appear, and a second backward raises.
     """
 
     sep = "/"

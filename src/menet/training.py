@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import BatchNorm2d
+from .layers import BatchNorm2d, Composite
 from .network import Network
 
 PRESETS = {
@@ -34,10 +34,19 @@ DIVERGENCE_FACTOR = 100
 def cross_entropy(logits, labels):
     """Mean negative log softmax likelihood and its logits gradient."""
     logits = np.asarray(logits, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    labels = np.asarray(labels)
     n, k = logits.shape
     if labels.shape != (n,):
         raise ValueError(f"labels shape {labels.shape} != ({n},)")
+    if labels.dtype.kind not in "iu":
+        # no cast truncates: a non-finite or fractional label is named
+        values = labels.astype(float)
+        whole = np.isfinite(values) & (np.floor(values) == values)
+        if not whole.all():
+            i = int(np.argmin(whole))
+            raise ValueError(f"labels must be integers, got {labels[i]} "
+                             f"at index {i}")
+    labels = labels.astype(int, copy=False)
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"labels out of range [0, {k})")
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -285,16 +294,16 @@ def relative_error(analytic, numeric):
 def numerical_gradient(f, arr):
     """Central differences with per-element step 1e-6 * (1 + |value|)."""
     grad = np.zeros_like(arr, dtype=float)
-    flat = arr.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
+    # index ``arr`` itself, in C order: reshape copies a non-contiguous one
+    for i in np.ndindex(arr.shape):
+        orig = arr[i]
         h = 1e-6 * (1.0 + abs(orig))
-        flat[i] = orig + h
+        arr[i] = orig + h
         fp = f()
-        flat[i] = orig - h
+        arr[i] = orig - h
         fm = f()
-        flat[i] = orig
-        grad.reshape(-1)[i] = (fp - fm) / (2 * h)
+        arr[i] = orig
+        grad[i] = (fp - fm) / (2 * h)
     return grad
 
 
@@ -309,7 +318,22 @@ def gradcheck(unit, x, seed=0):
 
 def gradcheck_errors(unit, x, seed=0):
     """``gradcheck``'s max relative error and, from the same pass, the max
-    |analytic - numeric|: the margin that the 1e-7 agreement floor hides."""
+    |analytic - numeric|: the margin that the 1e-7 agreement floor hides.
+    The running statistics of every batch norm in ``unit``, which each
+    train forward moves, are restored before it returns."""
+    if isinstance(unit, Composite):
+        bns = [bn for _, bn in unit.batchnorms()]
+    else:
+        bns = [unit] if isinstance(unit, BatchNorm2d) else []
+    saved = [(bn.running_mean.copy(), bn.running_var.copy()) for bn in bns]
+    try:
+        return _gradcheck_errors(unit, x, seed)
+    finally:
+        for bn, (mean, var) in zip(bns, saved):
+            bn.running_mean, bn.running_var = mean, var
+
+
+def _gradcheck_errors(unit, x, seed):
     rng = np.random.default_rng(seed)
     x = np.array(x, dtype=float)
     probe = None

@@ -1,8 +1,17 @@
 """Fixtures shared by the test modules."""
 
+import importlib.util
 import tracemalloc
 
 import pytest
+
+
+def pytest_report_header(config):
+    """The ``menet`` package the run imports, so a run shows which tree it
+    tested whatever ``PYTHONPATH`` says."""
+    spec = importlib.util.find_spec("menet")
+    where = spec.submodule_search_locations[0] if spec else "not found"
+    return f"menet under test: {where}"
 
 
 def _traced(fn):

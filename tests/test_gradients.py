@@ -16,7 +16,8 @@ from menet.layers import (
     Sigmoid,
 )
 from menet.me_module import MEModule, MEModuleConfig
-from menet.training import gradcheck
+from menet.network import Network
+from menet.training import gradcheck, gradcheck_errors, numerical_gradient
 
 N_INSTANCES = 20
 LAYER_TOL = 1e-5
@@ -132,3 +133,41 @@ def test_skip_path_gradient_is_grad_out():
     grad_x = module.backward(go)
     mask = out > 0
     assert np.array_equal(grad_x, np.where(mask, go, 0.0))
+
+
+def test_numerical_gradient_of_non_contiguous_array():
+    # a transposed view: each step must move the array's own element
+    arr = np.arange(12.0).reshape(3, 4).T
+    grad = numerical_gradient(lambda: float((arr ** 2).sum()), arr)
+    assert np.allclose(grad, 2 * arr, rtol=1e-8, atol=1e-6)
+    assert np.array_equal(arr, np.arange(12.0).reshape(3, 4).T)
+
+
+def running_statistics(bns):
+    return [(bn.running_mean.copy(), bn.running_var.copy()) for bn in bns]
+
+
+def gradcheck_unit(kind):
+    """(unit, its batch norms, input) for a bare batch norm, a module, or a
+    network holding that module."""
+    rng = np.random.default_rng(0)
+    if kind == "bn":
+        bn = BatchNorm2d(3)
+        return bn, [bn], rng.normal(size=(2, 3, 4, 4))
+    module = MEModule(MEModuleConfig(8, 8, 2, 2), rng=rng)
+    unit = module if kind == "module" else Network([("m", module)], 8, 5, 8)
+    bns = [bn for _, bn in module.batchnorms()]
+    return unit, bns, rng.normal(size=(1, 8, 5, 5))
+
+
+@pytest.mark.parametrize("kind", ["bn", "module", "network"])
+def test_gradcheck_restores_running_statistics(kind):
+    # ~1000 train forwards would move them; the eval output must not change
+    unit, bns, x = gradcheck_unit(kind)
+    before = running_statistics(bns)
+    eval_before = unit.forward(x, train=False)
+    errors = gradcheck_errors(unit, x)
+    assert errors[0] < MODULE_TOL
+    for (mean, var), (mean0, var0) in zip(running_statistics(bns), before):
+        assert np.array_equal(mean, mean0) and np.array_equal(var, var0)
+    assert np.array_equal(unit.forward(x, train=False), eval_before)

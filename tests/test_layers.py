@@ -877,13 +877,19 @@ SHAPE_CASES = [
 ]
 
 
+def layer_input(kind, size, rng):
+    shape = (4, 1, 1) if kind == "linear" else (4, size, size)
+    return rng.normal(size=(2, *shape))
+
+
 @pytest.mark.parametrize("size", [5, 6])
 @pytest.mark.parametrize("kind,stride,make", SHAPE_CASES,
                          ids=[f"{k}-s{s}" for k, s, _ in SHAPE_CASES])
 def test_out_shape_and_macs_match_forward(kind, stride, make, size):
     layer = make(stride)
-    shape = (4, 1, 1) if kind == "linear" else (4, size, size)
-    out = layer.forward(np.random.default_rng(size).normal(size=(2, *shape)))
+    x = layer_input(kind, size, np.random.default_rng(size))
+    shape = x.shape[1:]
+    out = layer.forward(x)
     if kind == "linear":
         # the classifier's (n, k) logits are a (k, 1, 1) map to the protocol
         out = out[:, :, None, None]
@@ -892,3 +898,31 @@ def test_out_shape_and_macs_match_forward(kind, stride, make, size):
     w = layer.params.get("weight")
     expected = 0 if w is None else out[0].size * w[0].size
     assert layer.macs(shape) == expected
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("kind,stride,make", SHAPE_CASES,
+                         ids=[f"{k}-s{s}" for k, s, _ in SHAPE_CASES])
+def test_backward_takes_the_cache(kind, stride, make, train):
+    # a cache lives from its forward to the backward that reads it
+    layer = make(stride)
+    out = layer.forward(layer_input(kind, 6, np.random.default_rng(0)),
+                        train=train)
+    layer.backward(np.ones_like(out))
+    assert layer._cache is None
+    with pytest.raises(RuntimeError, match="called without a cached forward"):
+        layer.backward(np.ones_like(out))
+
+
+def test_folded_pair_backward_takes_both_caches():
+    # the batch norm reads the conv's input through eval_output, which
+    # leaves it for the conv's own backward
+    conv, bn = conv_bn_pair(0, 4, 6, 3, 1, 2)
+    out = conv.forward(np.random.default_rng(1).normal(size=(2, 4, 5, 5)),
+                       False, bn=bn)
+    conv.backward(bn.backward(np.ones_like(out)))
+    assert conv._cache is None and bn._cache is None
+    for layer in (bn, conv):
+        with pytest.raises(RuntimeError,
+                           match="called without a cached forward"):
+            layer.backward(np.ones_like(out))

@@ -67,6 +67,26 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             cross_entropy(np.zeros((2, 3)), np.array([0]))
 
+    @pytest.mark.parametrize("labels,named", [
+        ([0.7, 2.9], "got 0.7 at index 0"),
+        ([1, 1.5], "got 1.5 at index 1"),
+        ([0, np.nan], "got nan at index 1"),
+        ([np.inf, 0], "got inf at index 0"),
+        ([1, -np.inf], "got -inf at index 1"),
+    ], ids=["fraction", "half", "nan", "inf", "-inf"])
+    def test_non_integral_label_rejected_by_name(self, labels, named):
+        # no cast truncates it, and no cast warning comes first
+        with pytest.raises(ValueError,
+                           match=f"labels must be integers, {named}"):
+            cross_entropy(np.zeros((2, 3)), labels)
+
+    def test_integral_labels_of_any_dtype_accepted(self):
+        logits = np.random.default_rng(2).normal(size=(2, 3))
+        want = cross_entropy(logits, np.array([2, 0]))
+        for labels in ([2.0, 0.0], np.array([2, 0], dtype=np.uint8)):
+            got = cross_entropy(logits, labels)
+            assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
 
 class TestSchedule:
     def test_step_decay_boundaries(self):
