@@ -13,21 +13,25 @@ backward can follow; an eval ``Network.forward`` clears each item's caches
 as soon as the item returns (see ``network.py``).
 
 Training runs the reference convolution, ``conv2d_raw`` and
-``conv2d_backward_raw``: a shifted-window loop over (input channel within
-group, ky, kx) that works on all groups at once, through (n, groups,
-per-group, h, w) views: one depthwise layer is 9 loop steps, not 9 per
-channel. Each output element still adds its products in (input channel,
-ky, kx) order, as the naive reference in the test suite does, so the
-forward is bit-identical to it; each input-gradient element adds its taps
-in the same order. The weight gradient reproduces the rounding of numpy's
-einsum("nohw,nhw->o") taken group by group, the kernel this one replaced
-(see ``conv2d_backward_raw``). The test suite keeps that per-group kernel
-as a frozen reference and checks the forward and both gradients against it
-with ``np.array_equal``, so a numpy whose einsum sums in another order
-fails there rather than shifting results silently. Train-mode batch norm
-runs numpy's own mean/var reductions (``np.add.reduce``, then a divide)
-directly, without the ``np.mean``/``np.var`` wrappers, and gets the same
-bits; the test suite checks it byte for byte against ``x.mean``/``x.var``.
+``conv2d_backward_raw``, with no Python loop over input channels in the
+forward or the input gradient. The forward gathers the windows once into
+columns, one row per (input channel within group, ky, kx), and sums their
+products with the weights a block of rows at a time, each block's rows
+added in order by one ``np.add.reduce``: every output element adds its
+products from 0 in (input channel, ky, kx) order, as the naive reference
+in the test suite does, so the forward is bit-identical to it. The input
+gradient is one einsum over all channels per tap, its taps added in (ky,
+kx) order. The weight gradient loops over (input channel, tap) and
+reproduces the rounding of numpy's einsum("nohw,nhw->o") taken group by
+group (see ``conv2d_backward_raw``). The test suite keeps the per-group
+kernels these replaced as frozen references and checks the forward and
+both gradients against them with ``np.array_equal``, so a numpy whose
+einsum sums in another order fails there rather than shifting results
+silently. Train-mode batch norm runs numpy's own mean/var reductions
+(``np.add.reduce``, then a divide) directly, without the
+``np.mean``/``np.var`` wrappers, and writes its later steps over its own
+temporaries; it gets the same bits, which the test suite checks byte for
+byte against ``x.mean``/``x.var``.
 
 The eval forward is not bit-identical to the reference, nor to running
 its layers one by one. Its convolutions, depthwise included, run
@@ -248,21 +252,63 @@ def _rows_join(a):
     return h == 1 or w == 1 or a.strides[-2] == w * a.strides[-1]
 
 
+# Bytes of one block of products in _sum_of_products: smaller blocks cost
+# more numpy calls on small maps, larger ones fall out of the CPU cache
+# (2 MiB blocks made a train-32 step about 7% slower).
+_BLOCK_BYTES = 1 << 18
+
+
+def _sum_of_products(cols, wt):
+    """sum over t of cols[t] * wt[t], for cols (terms, groups, 1, m) and wt
+    (terms, groups, per-group, 1): (groups, per-group, m), each element
+    added from 0 in term order, as a loop of multiply-adds would.
+
+    The products of a block of terms are written below the running sum, and
+    one np.add.reduce over the block's first axis adds its rows in order
+    into the next running sum. A one-element sum adds term by term, since
+    np.add.reduce sums a lone axis pairwise; so does a block of one term,
+    where an in-place add is cheaper than a reduce."""
+    terms, groups, _, m = cols.shape
+    size = groups * wt.shape[2] * m
+    per = min(terms, max(1, _BLOCK_BYTES // (8 * size))) if size > 1 else 1
+    block = np.empty((1 + per, groups, wt.shape[2], m))
+    acc = block[0]
+    acc[...] = 0.0
+    for t in range(0, terms, per):
+        b = min(per, terms - t)
+        np.multiply(cols[t:t + b], wt[t:t + b], out=block[1:1 + b])
+        if b == 1:
+            acc += block[1]
+        else:
+            acc[...] = np.add.reduce(block[:1 + b], axis=0)
+    return acc
+
+
 def conv2d_raw(x, w, stride, pad, groups):
+    """The reference forward conv, C-ordered. The windows are gathered once
+    into columns (in-channel within group, ky, kx, group, n, oh, ow), the
+    term order of every output, and ``_sum_of_products`` adds their
+    products with the weights from 0 in that order: bit-identical to a
+    loop of multiply-adds over (in-channel, ky, kx)."""
     n = x.shape[0]
     cout, cpg, k, _ = w.shape
     opg = cout // groups
     xp, (oh, ow), taps = _windows(x, k, stride, pad)
     xg = xp.reshape(n, groups, cpg, *xp.shape[2:])
-    wg = w.reshape(groups, opg, cpg, k, k)
-    out = np.zeros((n, groups, opg, oh, ow))
-    prod = np.empty_like(out)
-    for ci in range(cpg):
-        for ky, kx, rows, cols in taps:
-            np.multiply(xg[:, :, ci, None, rows, cols],
-                        wg[None, :, :, ci, ky, kx, None, None], out=prod)
-            out += prod
-    return out.reshape(n, cout, oh, ow)
+    # one column row per (input channel within group, ky, kx), the order in
+    # which every output adds its terms
+    cols = np.empty((cpg, k, k, groups, n, oh, ow))
+    for ky, kx, rows, cs in taps:
+        cols[:, ky, kx] = xg[:, :, :, rows, cs].transpose(2, 1, 0, 3, 4)
+    terms = cpg * k * k
+    sums = _sum_of_products(
+        cols.reshape(terms, groups, 1, n * oh * ow),
+        w.reshape(groups, opg, terms).transpose(2, 0, 1)[..., None])
+    # C order: batch norm's reductions, and so its bits, follow the layout
+    out = np.empty((n, cout, oh, ow))
+    out.reshape(n, groups, opg, oh * ow)[...] = sums.reshape(
+        groups, opg, n, oh * ow).transpose(2, 0, 1, 3)
+    return out
 
 
 def conv2d_gemm(x, w, stride, pad, groups):
@@ -289,16 +335,36 @@ def conv2d_gemm(x, w, stride, pad, groups):
 
 
 def conv2d_backward_raw(x, w, grad_out, stride, pad, groups):
+    """The reference backward conv: (grad_x, grad_w), grad_x a C-ordered
+    array of its own. grad_x takes, per tap, one einsum over every channel,
+    whose sum over output channels rounds as the per-group einsum it
+    replaced, and adds the taps in (ky, kx) order into a zeroed padded map.
+    grad_w loops over (in-channel within group, tap) with einsums that
+    reproduce the per-group einsum's rounding (see the comment below)."""
     n, _, h, wd = x.shape
     cout, cpg, k, _ = w.shape
     opg = cout // groups
     xp, (oh, ow), taps = _windows(x, k, stride, pad)
     xg = xp.reshape(n, groups, cpg, *xp.shape[2:])
-    gxg = np.zeros_like(xg)
     wg = w.reshape(groups, opg, cpg, k, k)
-    gw = np.zeros_like(wg)
     go = grad_out.reshape(n, groups, opg, oh, ow)
-    gx_tap = np.empty((n, groups, oh, ow))
+    # The einsum rounds as the per-group one did only where it sees the same
+    # strides: grad_out's output channels outside its pixels (a copy in
+    # (group, channel, pixel) order) and, on a 1x1 map, grad_out's own (a
+    # view), so reshape copies only where it must. The padded map is laid
+    # out (group, channel, n, h, w), as the einsum's output is.
+    go_cols = go.transpose(1, 2, 0, 3, 4).reshape(groups, opg, n * oh * ow)
+    gxg = np.zeros((groups, cpg, n, *xp.shape[2:]))
+    gx_tap = np.empty((groups, cpg, n, oh, ow))
+    for ky, kx, rows, cols in taps:
+        np.einsum("goN,goc->gcN", go_cols, wg[..., ky, kx],
+                  out=gx_tap.reshape(groups, cpg, -1))
+        gxg[..., rows, cols] += gx_tap
+    grad_x = np.empty(x.shape)
+    grad_x.reshape(n, groups, cpg, h, wd)[...] = gxg[
+        ..., pad:pad + h, pad:pad + wd].transpose(2, 0, 1, 3, 4)
+    del gxg, gx_tap, go_cols   # freed before the weight gradient's loop
+    gw = np.zeros_like(wg)
     # grad_w has to round as the per-group einsum("nohw,nhw->o") did. numpy
     # sums each contiguous run of that reduction (one image when the rows of
     # both operands join, else one output row) and adds the run sums to the
@@ -328,9 +394,6 @@ def conv2d_backward_raw(x, w, grad_out, stride, pad, groups):
                     sums = np.add.accumulate(
                         sums.reshape(groups, opg, -1), axis=-1)[..., -1]
                 gw[:, :, ci, ky, kx] += sums
-            np.einsum("ngohw,go->nghw", go, wg[:, :, ci, ky, kx], out=gx_tap)
-            gxg[:, :, ci, rows, cols] += gx_tap
-    grad_x = gxg.reshape(xp.shape)[:, :, pad:pad + h, pad:pad + wd]
     return grad_x, gw.reshape(w.shape)
 
 
@@ -360,10 +423,12 @@ class BatchNorm2d(Layer):
                 raise ShapeError(
                     "train-mode batch norm needs at least 2 elements per channel"
                 )
-            # np.mean/np.var's own reductions, without their wrappers
+            # np.mean/np.var's own reductions, without their wrappers; xhat
+            # is written over centered and the output over its square
             mean = np.add.reduce(x, axis=(0, 2, 3)) / m
             centered = x - mean[None, :, None, None]
-            var = np.add.reduce(np.square(centered), axis=(0, 2, 3)) / m
+            out = np.square(centered)
+            var = np.add.reduce(out, axis=(0, 2, 3)) / m
             self.running_mean = (
                 (1 - self.momentum) * self.running_mean + self.momentum * mean
             )
@@ -371,10 +436,13 @@ class BatchNorm2d(Layer):
                 (1 - self.momentum) * self.running_var + self.momentum * var
             )
             inv_std = 1.0 / np.sqrt(var + self.epsilon)
-            xhat = centered * inv_std[None, :, None, None]
+            xhat = np.multiply(centered, inv_std[None, :, None, None],
+                               out=centered)
             self._cache = (xhat, inv_std, m)
-            return (self.params["gamma"][None, :, None, None] * xhat
-                    + self.params["beta"][None, :, None, None])
+            np.multiply(self.params["gamma"][None, :, None, None], xhat,
+                        out=out)
+            out += self.params["beta"][None, :, None, None]
+            return out
         # eval: one affine pass; backward rebuilds xhat from the input
         _, scale, shift = self.eval_affine()
         self._cache = x
@@ -403,17 +471,22 @@ class BatchNorm2d(Layer):
                 * inv_std[None, :, None, None]
             m = None
         gamma = self.params["gamma"]
-        self.grads["gamma"] += (grad_out * xhat).sum(axis=(0, 2, 3))
+        prod = grad_out * xhat
+        self.grads["gamma"] += prod.sum(axis=(0, 2, 3))
         self.grads["beta"] += grad_out.sum(axis=(0, 2, 3))
         if m is None:
             return grad_out * scale[None, :, None, None]
+        # (inv_std / m) * (m * g - sum_g - xhat * sum_gx), g = grad_out *
+        # gamma, in the same operations in two buffers
         g = grad_out * gamma[None, :, None, None]
         sum_g = g.sum(axis=(0, 2, 3), keepdims=True)
-        sum_gx = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
-        grad_x = (inv_std[None, :, None, None] / m) * (
-            m * g - sum_g - xhat * sum_gx
-        )
-        return grad_x
+        sum_gx = np.multiply(g, xhat, out=prod).sum(axis=(0, 2, 3),
+                                                    keepdims=True)
+        g *= m
+        g -= sum_g
+        g -= np.multiply(xhat, sum_gx, out=prod)
+        g *= inv_std[None, :, None, None] / m
+        return g
 
 
 class ReLU(Layer):

@@ -112,9 +112,11 @@ class SGD:
             wd = self.weight_decay if name.endswith(".weight") else 0.0
             v = self.velocity.get(name)
             if v is None:
-                v = np.zeros_like(p)
-            v = self.momentum * v + g + wd * p
-            self.velocity[name] = v
+                v = self.velocity[name] = np.zeros_like(p)
+            # v = momentum * v + g + wd * p, then p -= lr * v, in place
+            v *= self.momentum
+            v += g
+            v += wd * p
             p -= self.lr * v
 
 

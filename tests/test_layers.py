@@ -323,6 +323,76 @@ class TestConv2d:
                                                groups, 92, 92)
         assert_matches_per_group(x, w, grad_out, 1, pad, groups)
 
+    def test_one_element_output_adds_in_order(self):
+        # np.add.reduce sums a lone axis pairwise, not in order
+        rng = np.random.default_rng(10)
+        for cin in (8, 64):
+            x = rng.normal(size=(1, cin, 1, 1)) * 10.0 ** rng.uniform(
+                -8, 8, (1, cin, 1, 1))
+            w = rng.normal(size=(1, cin, 1, 1))
+            assert np.array_equal(conv2d_raw(x, w, 1, 0, 1),
+                                  naive_conv(x, w, 1, 0, 1))
+            assert_matches_per_group(x, w, rng.normal(size=(1, 1, 1, 1)), 1,
+                                     0, 1)
+
+    def test_terms_spanning_several_product_blocks(self):
+        # the running sum is carried from one block of products to the next
+        rng = np.random.default_rng(11)
+        cin, cout, batch, size = 64, 2, 2, 4
+        per_block = layers._BLOCK_BYTES // (8 * cout * batch * size * size)
+        assert 2 <= per_block < cin * 9
+        x, w, grad_out, pad = random_conv_case(rng, batch, cin, cout, 3, 1, 1,
+                                               size, size)
+        assert np.array_equal(conv2d_raw(x, w, 1, pad, 1),
+                              naive_conv(x, w, 1, pad, 1))
+        assert_matches_per_group(x, w, grad_out, 1, pad, 1)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "nhwc-view",
+                                        "reversed-channels", "channel-slice"])
+    @pytest.mark.parametrize("cin,cout,k,stride,groups", [
+        (4, 6, 3, 1, 2), (6, 6, 1, 1, 3), (4, 4, 3, 2, 4),
+    ])
+    def test_input_layouts_give_c_order_and_the_same_bits(
+            self, layout, cin, cout, k, stride, groups):
+        # what shuffle, concat and slicing hand over; batch norm's
+        # reductions, and so the next layer's bits, follow the output layout
+        rng = np.random.default_rng(12)
+        x, w, grad_out, pad = random_conv_case(rng, 2, cin, cout, k, stride,
+                                               groups, 5, 5)
+        if layout == "F":
+            x = np.asfortranarray(x)
+        elif layout == "nhwc-view":
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(
+                0, 3, 1, 2)
+        elif layout == "reversed-channels":
+            x = np.ascontiguousarray(x[:, ::-1])[:, ::-1]
+        elif layout == "channel-slice":
+            x = np.concatenate([x, x], axis=1)[:, cin:]
+        out = conv2d_raw(x, w, stride, pad, groups)
+        grad_x, grad_w = conv2d_backward_raw(x, w, grad_out, stride, pad,
+                                             groups)
+        ref_x, ref_w = per_group_conv_backward(x, w, grad_out, stride, pad,
+                                               groups)
+        assert out.flags.c_contiguous and grad_x.flags.c_contiguous
+        assert np.array_equal(out, naive_conv(x, w, stride, pad, groups))
+        assert np.array_equal(out, per_group_conv(x, w, stride, pad, groups))
+        assert np.array_equal(grad_x, ref_x)
+        # the weight gradient models einsum's rounding from the strides of
+        # C-ordered maps; an F-ordered input, which no model layer passes,
+        # rounds otherwise on a batch-2 depthwise conv, as it did before
+        if layout != "F":
+            assert np.array_equal(grad_w, ref_w)
+
+    def test_padded_input_gradient_owns_its_memory(self):
+        # as a view of its padded buffer it kept (h+2)(w+2)/(hw) of its
+        # own bytes alive: 4x on a 2x2 map
+        rng = np.random.default_rng(13)
+        x, w, grad_out, pad = random_conv_case(rng, 2, 4, 4, 3, 1, 1, 2, 2)
+        grad_x, _ = conv2d_backward_raw(x, w, grad_out, 1, pad, 1)
+        assert grad_x.flags.c_contiguous and grad_x.flags.owndata
+        assert np.array_equal(
+            grad_x, per_group_conv_backward(x, w, grad_out, 1, pad, 1)[0])
+
     def test_network_step_bit_identical_to_per_group_kernels(self,
                                                              monkeypatch):
         # the layouts a real forward and backward hand to the kernels
@@ -343,6 +413,29 @@ class TestConv2d:
         assert np.array_equal(grad_x, ref_grad_x)
         for name, g in grads.items():
             assert np.array_equal(g, ref_grads[name]), name
+
+    @pytest.mark.parametrize("config", [
+        (3, 24, 3, 2, 1, 32, 32),     # the stem
+        (352, 176, 1, 1, 8, 4, 4),    # the largest grouped 1x1
+    ])
+    def test_train_step_memory_of_train_32_convs(self, config, traced):
+        # 352-MENet-12x1, g=8, 32 px, batch 16: forward and backward each
+        # peak within the running sum and one row of products (2x the
+        # output) plus 0.5 MiB above the input, output and column arrays,
+        # so a larger product block fails here before it raises the
+        # step's peak RSS
+        assert config in conv_configs("352-MENet-12x1/g8")
+        cin, cout, k, stride, groups, h, wd = config
+        conv = Conv2d(cin, cout, k, stride=stride, groups=groups,
+                      rng=np.random.default_rng(14))
+        x = np.random.default_rng(15).normal(size=(16, cin, h, wd))
+        out, _, fwd_peak = traced(lambda: conv.forward(x, train=True))
+        grad_out = np.ones_like(out)
+        _, _, bwd_peak = traced(lambda: conv.backward(grad_out))
+        columns = 8 * cin * k * k * out.size // cout
+        held = x.nbytes + out.nbytes + columns
+        for peak in (fwd_peak, bwd_peak):
+            assert peak <= held + 2 * out.nbytes + 0.5 * 2 ** 20
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
