@@ -13,17 +13,18 @@ backward can follow; an eval ``Network.forward`` clears each item's caches
 as soon as the item returns (see ``network.py``).
 
 Training runs the reference convolution, ``conv2d_raw`` and
-``conv2d_backward_raw``, with no Python loop over input channels in the
-forward or the input gradient. The forward gathers the windows once into
-columns, one row per (input channel within group, ky, kx), and sums their
-products with the weights a block of rows at a time, each block's rows
-added in order by one ``np.add.reduce``: every output element adds its
-products from 0 in (input channel, ky, kx) order, as the naive reference
-in the test suite does, so the forward is bit-identical to it. The input
-gradient is one einsum over all channels per tap, its taps added in (ky,
-kx) order. The weight gradient loops over (input channel, tap) and
-reproduces the rounding of numpy's einsum("nohw,nhw->o") taken group by
-group (see ``conv2d_backward_raw``). The test suite keeps the per-group
+``conv2d_backward_raw``, with no Python loop over input channels. The
+forward gathers the windows once into columns, one row per (input channel
+within group, ky, kx), and sums their products with the weights a block of
+rows at a time, each block's rows added in order by one ``np.add.reduce``:
+every output element adds its products from 0 in (input channel, ky, kx)
+order, as the naive reference in the test suite does, so the forward is
+bit-identical to it. The input gradient is one einsum over all channels per
+tap, its taps added in (ky, kx) order. The weight gradient is one einsum
+over all channels per tap too, arranged to reproduce the rounding of
+numpy's einsum("nohw,nhw->o") taken per (group, input channel, tap); it
+reads its input C-ordered, the layout that arrangement holds for (see
+``conv2d_backward_raw``). The test suite keeps the per-group
 kernels these replaced as frozen references and checks the forward and
 both gradients against them with ``np.array_equal``, so a numpy whose
 einsum sums in another order fails there rather than shifting results
@@ -338,9 +339,14 @@ def conv2d_backward_raw(x, w, grad_out, stride, pad, groups):
     """The reference backward conv: (grad_x, grad_w), grad_x a C-ordered
     array of its own. grad_x takes, per tap, one einsum over every channel,
     whose sum over output channels rounds as the per-group einsum it
-    replaced, and adds the taps in (ky, kx) order into a zeroed padded map.
-    grad_w loops over (in-channel within group, tap) with einsums that
-    reproduce the per-group einsum's rounding (see the comment below)."""
+    replaced, and adds the taps in (ky, kx) order into a zeroed padded map;
+    an unpadded 1x1 conv at stride 1 has one tap over every pixel, so its
+    einsum's output is the gradient (a -0.0 there is kept, where the
+    zeroed map would give +0.0). grad_w takes one einsum per tap over every
+    channel, arranged to reproduce the per-group einsum's rounding (see the
+    comment below). ``x`` is read C-ordered, so grad_w does not depend on
+    its memory layout."""
+    x = np.ascontiguousarray(x)
     n, _, h, wd = x.shape
     cout, cpg, k, _ = w.shape
     opg = cout // groups
@@ -354,46 +360,50 @@ def conv2d_backward_raw(x, w, grad_out, stride, pad, groups):
     # view), so reshape copies only where it must. The padded map is laid
     # out (group, channel, n, h, w), as the einsum's output is.
     go_cols = go.transpose(1, 2, 0, 3, 4).reshape(groups, opg, n * oh * ow)
-    gxg = np.zeros((groups, cpg, n, *xp.shape[2:]))
     gx_tap = np.empty((groups, cpg, n, oh, ow))
+    one_tap = k == 1 and stride == 1   # the one tap reads every pixel
+    gxg = gx_tap if one_tap else np.zeros((groups, cpg, n, *xp.shape[2:]))
     for ky, kx, rows, cols in taps:
         np.einsum("goN,goc->gcN", go_cols, wg[..., ky, kx],
                   out=gx_tap.reshape(groups, cpg, -1))
-        gxg[..., rows, cols] += gx_tap
+        if not one_tap:
+            gxg[..., rows, cols] += gx_tap
     grad_x = np.empty(x.shape)
     grad_x.reshape(n, groups, cpg, h, wd)[...] = gxg[
         ..., pad:pad + h, pad:pad + wd].transpose(2, 0, 1, 3, 4)
-    del gxg, gx_tap, go_cols   # freed before the weight gradient's loop
+    del gxg, gx_tap, go_cols   # freed before the weight gradient
     gw = np.zeros_like(wg)
-    # grad_w has to round as the per-group einsum("nohw,nhw->o") did. numpy
-    # sums each contiguous run of that reduction (one image when the rows of
-    # both operands join, else one output row) and adds the run sums to the
-    # output in order. One einsum over all groups keeps that order, except
-    # when a group has one output channel or the batch one image: then one
-    # einsum takes the run sums and np.add.accumulate adds them in order.
-    # einsum's iterator splits a run longer than its buffer in a way not
-    # modelled here, so such maps run the per-group einsum itself.
+    # grad_w has to round as the per-group einsum("nohw,nhw->o") did, taken
+    # per (in-channel, tap). numpy sums each contiguous run of that reduction
+    # (one image when the rows of both operands join, else one output row)
+    # and adds the run sums to the output in order. One einsum over all
+    # groups and in-channels keeps that order when a group has several
+    # output channels and the batch several images; otherwise one einsum
+    # takes the run sums and np.add.accumulate adds them in order. This
+    # holds for C-ordered maps only, hence the read of x above. einsum's
+    # iterator splits a run longer than its buffer in a way not modelled
+    # here, so such maps run the per-group einsum itself.
     _, _, rows0, cols0 = taps[0]
     rows_join = _rows_join(go) and _rows_join(xg[:, :, 0, rows0, cols0])
     if (oh * ow if rows_join else ow) > _EINSUM_BUFSIZE:
         runs = None
-    elif groups == 1 or (opg > 1 and n > 1):
+    elif opg > 1 and n > 1:
         runs = ""
     else:
         runs = "n" if rows_join else "nh"
-    for ci in range(cpg):
-        for ky, kx, rows, cols in taps:
-            win = xg[:, :, ci, rows, cols]
-            if runs is None:
+    for ky, kx, rows, cols in taps:
+        win = xg[:, :, :, rows, cols]
+        if runs is None:
+            for ci in range(cpg):
                 for g in range(groups):
                     gw[g, :, ci, ky, kx] += np.einsum(
-                        "nohw,nhw->o", go[:, g], win[:, g])
-            else:
-                sums = np.einsum(f"ngohw,nghw->go{runs}", go, win)
-                if runs:
-                    sums = np.add.accumulate(
-                        sums.reshape(groups, opg, -1), axis=-1)[..., -1]
-                gw[:, :, ci, ky, kx] += sums
+                        "nohw,nhw->o", go[:, g], win[:, g, ci])
+        else:
+            sums = np.einsum(f"ngohw,ngchw->goc{runs}", go, win)
+            if runs:
+                sums = np.add.accumulate(
+                    sums.reshape(groups, opg, cpg, -1), axis=-1)[..., -1]
+            gw[..., ky, kx] += sums
     return grad_x, gw.reshape(w.shape)
 
 
@@ -542,10 +552,13 @@ class ChannelShuffle(Layer):
         check_nchw(x)
         perm, inv = _shuffle_orders(x.shape[1], self.groups)
         self._cache = inv
-        return x[:, perm]
+        # np.take returns a C-ordered array, where x[:, perm] would be laid
+        # out channel-major; the convs after it read C order (see
+        # conv2d_backward_raw)
+        return np.take(x, perm, axis=1)
 
     def backward(self, grad_out):
-        return grad_out[:, self._take_cache()]
+        return np.take(grad_out, self._take_cache(), axis=1)
 
 
 class _Pool3x3s2(Layer):

@@ -3,15 +3,23 @@
 import importlib.util
 import tracemalloc
 
+import numpy
 import pytest
 
 
 def pytest_report_header(config):
     """The ``menet`` package the run imports, so a run shows which tree it
-    tested whatever ``PYTHONPATH`` says."""
+    tested whatever ``PYTHONPATH`` says, and the numpy build: the
+    bit-identity tests hold einsum to the rounding of the build they were
+    written on, which its compile-time SIMD baseline (FMA or not) sets."""
     spec = importlib.util.find_spec("menet")
     where = spec.submodule_search_locations[0] if spec else "not found"
-    return f"menet under test: {where}"
+    try:
+        from numpy._core._multiarray_umath import __cpu_baseline__ as baseline
+    except ImportError:   # numpy < 2 names the module numpy.core
+        baseline = "unknown"
+    return [f"menet under test: {where}",
+            f"numpy {numpy.__version__}, SIMD baseline {baseline}"]
 
 
 def _traced(fn):

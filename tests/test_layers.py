@@ -359,6 +359,7 @@ class TestConv2d:
         rng = np.random.default_rng(12)
         x, w, grad_out, pad = random_conv_case(rng, 2, cin, cout, k, stride,
                                                groups, 5, 5)
+        _, c_order_w = conv2d_backward_raw(x, w, grad_out, stride, pad, groups)
         if layout == "F":
             x = np.asfortranarray(x)
         elif layout == "nhwc-view":
@@ -371,17 +372,18 @@ class TestConv2d:
         out = conv2d_raw(x, w, stride, pad, groups)
         grad_x, grad_w = conv2d_backward_raw(x, w, grad_out, stride, pad,
                                              groups)
-        ref_x, ref_w = per_group_conv_backward(x, w, grad_out, stride, pad,
-                                               groups)
+        ref_x, _ = per_group_conv_backward(x, w, grad_out, stride, pad,
+                                           groups)
         assert out.flags.c_contiguous and grad_x.flags.c_contiguous
         assert np.array_equal(out, naive_conv(x, w, stride, pad, groups))
         assert np.array_equal(out, per_group_conv(x, w, stride, pad, groups))
         assert np.array_equal(grad_x, ref_x)
-        # the weight gradient models einsum's rounding from the strides of
-        # C-ordered maps; an F-ordered input, which no model layer passes,
-        # rounds otherwise on a batch-2 depthwise conv, as it did before
-        if layout != "F":
-            assert np.array_equal(grad_w, ref_w)
+        # the weight gradient reads x C-ordered, so every layout rounds as
+        # the per-group einsum does on a C-ordered input
+        _, ref_w = per_group_conv_backward(np.ascontiguousarray(x), w,
+                                           grad_out, stride, pad, groups)
+        assert np.array_equal(grad_w, ref_w)
+        assert np.array_equal(grad_w, c_order_w)
 
     def test_padded_input_gradient_owns_its_memory(self):
         # as a view of its padded buffer it kept (h+2)(w+2)/(hw) of its
@@ -436,6 +438,67 @@ class TestConv2d:
         held = x.nbytes + out.nbytes + columns
         for peak in (fwd_peak, bwd_peak):
             assert peak <= held + 2 * out.nbytes + 0.5 * 2 ** 20
+
+    def test_unpadded_1x1_input_gradient_skips_the_padded_map(self, traced):
+        # train-32's 352->176 g8 1x1 (4 px, batch 16): the einsum's output is
+        # the input gradient, so the backward holds two input-sized arrays
+        # and grad_out's columns (with a zeroed map and a tap add it peaked
+        # at 2.41 MiB, three input-sized arrays)
+        conv = Conv2d(352, 176, 1, groups=8, rng=np.random.default_rng(14))
+        x = np.random.default_rng(15).normal(size=(16, 352, 4, 4))
+        grad_out = np.ones_like(conv.forward(x, train=True))
+        grad_x, _, peak = traced(lambda: conv.backward(grad_out))
+        assert peak <= 2 * x.nbytes + grad_out.nbytes + 0.125 * 2 ** 20
+        ref_x, _ = per_group_conv_backward(x, conv.params["weight"], grad_out,
+                                           1, 0, 8)
+        assert np.array_equal(grad_x, ref_x)
+
+    @pytest.mark.parametrize("source", [
+        "352-MENet-12x1/g8", "desk", "gradcheck-tiny",
+    ])
+    def test_backward_calls_einsum_at_most_twice_per_tap(self, source,
+                                                         monkeypatch):
+        # each gradient takes one einsum per tap over every channel and
+        # group, with no loop over them, while its runs fit einsum's buffer
+        rng = np.random.default_rng(16)
+        einsum, calls = np.einsum, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return einsum(*args, **kwargs)
+
+        for cin, cout, k, stride, groups, h, wd in conv_configs(source):
+            conv = Conv2d(cin, cout, k, stride=stride, groups=groups, rng=rng)
+            for batch in (1, 16):
+                out = conv.forward(rng.normal(size=(batch, cin, h, wd)),
+                                   train=True)
+                calls.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(np, "einsum", counting)
+                    conv.backward(np.ones_like(out))
+                assert len(calls) <= 2 * k * k, (cin, cout, k, groups, batch)
+
+    @pytest.mark.parametrize("source", ["352-MENet-12x1/g8", "desk"])
+    def test_train_forward_hands_convs_c_ordered_inputs(self, source,
+                                                        monkeypatch):
+        # the weight gradient reads its input C-ordered, so any other layout
+        # would cost a copy of the input in every conv's backward
+        cfg = desk_config() if source == "desk" else MENetConfig.from_notation(
+            "352-MENet-12x1", groups=8, num_classes=10, input_size=32)
+        net = build_menet(cfg, seed=0)
+        c_ordered = []
+
+        def recording(x, *args):
+            c_ordered.append(x.flags.c_contiguous)
+            return conv2d_raw(x, *args)
+
+        monkeypatch.setattr(layers, "conv2d_raw", recording)
+        size = cfg.input_size
+        net.forward(np.random.default_rng(17).normal(size=(2, 3, size, size)),
+                    train=True)
+        convs = [layer for _, layer in net.all_layers()
+                 if isinstance(layer, Conv2d)]
+        assert len(c_ordered) == len(convs) and all(c_ordered)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -755,6 +818,23 @@ class TestChannelShuffle:
         y = shuffle.forward(x)
         assert y.flags.writeable
         assert np.array_equal(shuffle.backward(y), x)
+
+    @pytest.mark.parametrize("layout", ["C", "nhwc-view"])
+    def test_forward_and_backward_are_c_ordered(self, layout):
+        # the convs after a shuffle read C order; x[:, perm] is channel-major
+        rng = np.random.default_rng(9)
+        x, g = rng.normal(size=(2, 2, 12, 3, 3))
+        if layout == "nhwc-view":
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(
+                0, 3, 1, 2)
+        perm = ChannelShuffle.permutation(12, 3)
+        inv = np.argsort(perm)
+        shuffle = ChannelShuffle(3)
+        y = shuffle.forward(x)
+        grad_x = shuffle.backward(g)
+        assert y.flags.c_contiguous and grad_x.flags.c_contiguous
+        assert np.array_equal(y, x[:, perm])
+        assert np.array_equal(grad_x, g[:, inv])
 
     @given(c=st.integers(1, 64), seed=st.integers(0, 50))
     @settings(max_examples=60, deadline=None)
