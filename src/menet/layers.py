@@ -1,51 +1,38 @@
 """Differentiable layer primitives with hand-written backward passes.
 
-Each layer caches whatever the backward pass needs during forward. Backward
-takes that cache, reading it and clearing it, so a cache lives from the
-forward that writes it to the backward that reads it; a second backward
-raises ``RuntimeError``, as does one with no forward. Backward returns the
-gradient w.r.t. the input and accumulates parameter gradients into
-``self.grads`` (keys from ``self.params``). A gradient array appears at the
-first backward, as zeros it adds into, and ``zero_grad`` drops them all: a
-layer only built, saved, loaded or run forward holds none. A layer,
-``Chain`` or module run on its own keeps its cache in eval too, so a
-backward can follow; an eval ``Network.forward`` clears each item's caches
-as soon as the item returns (see ``network.py``).
+A backward pairs with the last forward, and only a train forward, or the
+eval forward of a batch norm run on its own, leaves it anything: every
+other eval forward sets the cache to None. Backward takes the cache,
+reading and clearing it, so a backward after such an eval forward, a
+second backward, or one with no forward raises ``RuntimeError``. It
+returns the gradient w.r.t. the input and adds parameter gradients into
+``self.grads`` (keys from ``self.params``): a gradient array appears at the
+first backward, as zeros, and ``zero_grad`` drops them all.
 
 Training runs the reference convolution, ``conv2d_raw`` and
 ``conv2d_backward_raw``, with no Python loop over input channels. The
-forward gathers the windows once into columns, one row per (input channel
-within group, ky, kx), and sums their products with the weights a block of
-rows at a time, each block's rows added in order by one ``np.add.reduce``:
-every output element adds its products from 0 in (input channel, ky, kx)
-order, as the naive reference in the test suite does, so the forward is
-bit-identical to it. The input gradient is one einsum over all channels per
-tap, its taps added in (ky, kx) order. The weight gradient is one einsum
-over all channels per tap too, arranged to reproduce the rounding of
-numpy's einsum("nohw,nhw->o") taken per (group, input channel, tap); it
-reads its input C-ordered, the layout that arrangement holds for (see
-``conv2d_backward_raw``). The test suite keeps the per-group
-kernels these replaced as frozen references and checks the forward and
-both gradients against them with ``np.array_equal``, so a numpy whose
-einsum sums in another order fails there rather than shifting results
-silently. Train-mode batch norm runs numpy's own mean/var reductions
-(``np.add.reduce``, then a divide) directly, without the
-``np.mean``/``np.var`` wrappers, and writes its later steps over its own
-temporaries; it gets the same bits, which the test suite checks byte for
-byte against ``x.mean``/``x.var``.
+forward adds every output's products from 0 in (input channel, ky, kx)
+order, bit-identical to the naive loop in the test suite. Each gradient is
+one einsum over all channels per tap, the weight gradient's arranged to
+round as numpy's einsum("nohw,nhw->o") taken per (group, input channel,
+tap) on a C-ordered input (see ``conv2d_backward_raw``). The test suite
+checks the forward and both gradients against the frozen per-group kernels
+these replaced with ``np.array_equal``, so a numpy whose einsum sums in
+another order fails there rather than shifting results silently.
+Train-mode batch norm runs numpy's mean/var reductions without their
+wrappers and writes over its own temporaries, byte for byte as
+``x.mean``/``x.var``.
 
-The eval forward is not bit-identical to the reference, nor to running
-its layers one by one. Its convolutions, depthwise included, run
-``conv2d_gemm``, a BLAS matmul that sums in its own order. ``Chain`` folds
-each batch norm into the conv right before it (Jacob et al. 2018, arXiv
-1712.05877, section 3): the conv runs on its weights scaled per output
-channel, then adds a per-channel shift, so the products round differently
-than a conv followed by a separate affine pass. The folded batch norm keeps
-no array; a backward after it recomputes its input from the conv's cache.
-A batch norm run on its own in eval is one affine pass with the same scale
-and shift. The test suite holds ``conv2d_gemm`` to within 1e-12 of
-``conv2d_raw``, and the folded pair to within 1e-12 of the unfolded one,
-relative to the largest output, on every conv of the reference models.
+The eval forward is not bit-identical to the reference. Its convolutions,
+depthwise included, run ``conv2d_gemm``, a BLAS matmul that sums in its own
+order, and ``Chain`` folds each batch norm into the conv before it (Jacob et
+al. 2018, arXiv 1712.05877, section 3): scaled weights, then a per-channel
+shift. The test suite holds both within 1e-12 of the reference and of the
+unfolded pair, relative to the largest output, on every conv of the
+reference models. A batch norm run on its own in eval is one affine pass
+with the same scale and shift; it keeps its input, since its gradient with
+the statistics held constant is the one eval gradient that differs from
+the train one.
 
 A ``Composite`` (chain, module, network) lists its layers in one place, its
 ``walk``: its parameters, gradients, batch norms and cost rows follow it.
@@ -101,18 +88,12 @@ class Layer:
         # no gradient: it appears at the first backward, zero_grad drops it
         self.params[name] = value
 
-    def _cached(self):
-        if self._cache is None:
-            raise RuntimeError(
-                f"{type(self).__name__}.backward called without a cached forward"
-            )
-        return self._cache
-
     def _take_cache(self):
-        """The last forward's cache, cleared here: each backward reads it
-        once, so it lives only until the backward that needs it."""
-        cache = self._cached()
-        self._cache = None
+        """The last forward's cache, cleared: each backward reads it once."""
+        cache, self._cache = self._cache, None
+        if cache is None:
+            raise RuntimeError(f"{type(self).__name__}.backward called "
+                               "without a cached forward")
         return cache
 
 
@@ -197,40 +178,31 @@ class Conv2d(Layer):
                 * (self.in_channels // self.groups) * self.out_channels)
 
     def forward(self, x, train=False, bn=None):
-        """The conv of ``x``; in eval, ``bn`` is the batch norm that
-        follows, run folded in: the weights scaled by its per-channel
-        scale, then its shift added. ``bn`` then caches this conv, not an
-        array."""
+        """The conv of ``x``, cached only in train. In eval, ``bn`` is the
+        batch norm that follows, folded in: the weights scaled by its
+        per-channel scale, then its shift added; neither keeps a cache."""
         check_nchw(x)
         if x.shape[1] != self.in_channels:
             raise ShapeError(
                 f"expected {self.in_channels} input channels, got {x.shape[1]}"
             )
-        self._cache = x
+        self._cache = x if train else None
         w = self.params["weight"]
         # training stays on the bit-identical reference kernel; this branch
         # goes once ROADMAP 1(a)+(b) move training onto conv2d_gemm
         if train:
             return conv2d_raw(x, w, self.stride, self.pad, self.groups)
         if bn is None:
-            return self._eval(x, w)
+            return conv2d_gemm(x, w, self.stride, self.pad, self.groups)
         if bn.channels != self.out_channels:
             raise ShapeError(f"expected {bn.channels} channels, "
                              f"got {self.out_channels}")
         _, scale, shift = bn.eval_affine()
-        bn._cache = self
-        out = self._eval(x, w * scale[:, None, None, None])
+        bn._cache = None
+        out = conv2d_gemm(x, w * scale[:, None, None, None], self.stride,
+                          self.pad, self.groups)
         out += shift[None, :, None, None]
         return out
-
-    def _eval(self, x, w):
-        return conv2d_gemm(x, w, self.stride, self.pad, self.groups)
-
-    def eval_output(self):
-        """The unfolded eval output of the cached input: what a batch norm
-        folded into this conv's last forward took as its input. The cache
-        stays for this conv's own backward, which runs after the norm's."""
-        return self._eval(self._cached(), self.params["weight"])
 
     def backward(self, grad_out):
         x = self._take_cache()
@@ -473,11 +445,9 @@ class BatchNorm2d(Layer):
         if isinstance(cache, tuple):
             xhat, inv_std, m = cache
         else:
-            # eval: the cache is the input, or the conv this norm was
-            # folded into, which recomputes it
-            x = cache if isinstance(cache, np.ndarray) else cache.eval_output()
+            # eval: the cache is the input, and the statistics are constants
             inv_std, scale, _ = self.eval_affine()
-            xhat = (x - self.running_mean[None, :, None, None]) \
+            xhat = (cache - self.running_mean[None, :, None, None]) \
                 * inv_std[None, :, None, None]
             m = None
         gamma = self.params["gamma"]
@@ -503,7 +473,7 @@ class ReLU(Layer):
     """max(0, x), NaN kept; gradient at exactly 0 is defined as 0."""
 
     def forward(self, x, train=False):
-        self._cache = x > 0
+        self._cache = x > 0 if train else None
         return np.maximum(x, 0.0)
 
     def backward(self, grad_out):
@@ -516,7 +486,7 @@ class Sigmoid(Layer):
         # exp(-x) overflows to inf below x = -709, giving the exact limit 0
         with np.errstate(over="ignore"):
             out = 1.0 / (1.0 + np.exp(-x))
-        self._cache = out
+        self._cache = out if train else None
         return out
 
     def backward(self, grad_out):
@@ -551,7 +521,7 @@ class ChannelShuffle(Layer):
     def forward(self, x, train=False):
         check_nchw(x)
         perm, inv = _shuffle_orders(x.shape[1], self.groups)
-        self._cache = inv
+        self._cache = inv if train else None
         # np.take returns a C-ordered array, where x[:, perm] would be laid
         # out channel-major; the convs after it read C order (see
         # conv2d_backward_raw)
@@ -578,7 +548,7 @@ class MaxPool3x3s2(_Pool3x3s2):
         out = np.full((*x.shape[:2], oh, ow), -np.inf)
         for _, _, rows, cols in taps:
             np.maximum(out, xp[:, :, rows, cols], out=out)
-        self._cache = (xp, out, taps)
+        self._cache = (xp, out, taps) if train else None
         return out
 
     def backward(self, grad_out):
@@ -602,7 +572,7 @@ class AvgPool3x3s2(_Pool3x3s2):
         for _, _, rows, cols in taps:
             out += xp[:, :, rows, cols]
         out /= 9.0
-        self._cache = (xp.shape, taps)
+        self._cache = (xp.shape, taps) if train else None
         return out
 
     def backward(self, grad_out):
@@ -619,7 +589,7 @@ class GlobalAvgPool(Layer):
 
     def forward(self, x, train=False):
         check_nchw(x)
-        self._cache = x.shape
+        self._cache = x.shape if train else None
         return x.mean(axis=(2, 3), keepdims=True)
 
     def backward(self, grad_out):
@@ -658,7 +628,7 @@ class Linear(Layer):
                 f"expected {self.in_features} features, got {x.shape[1]}"
             )
         flat = x[:, :, 0, 0]
-        self._cache = flat
+        self._cache = flat if train else None
         return flat @ self.params["weight"].T + self.params["bias"]
 
     def backward(self, grad_out):
@@ -737,14 +707,8 @@ class Chain(Composite):
             fold = isinstance(step, Conv2d) and isinstance(after, BatchNorm2d)
             x = (step.forward(x, False, bn=after) if fold
                  else step.forward(x, False))
-            self._eval_ran(steps[i:i + 1 + fold])
             i += 1 + fold
         return x
-
-    def _eval_ran(self, steps):
-        """Called in eval once ``steps``, one step or a folded conv and its
-        batch norm, have run. A plain chain keeps their caches, so a
-        backward can follow."""
 
     def backward(self, grad_out):
         for _, step in reversed(self.steps):

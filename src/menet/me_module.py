@@ -187,7 +187,7 @@ class MEModule(Composite):
             out = concat_channels(self.identity_pool.forward(x, train), res)
         else:
             out = x + res
-        self._cache = (d, f)
+        self._cache = (d, f) if train else None
         return self.relu_final.forward(out, train)
 
     def backward(self, grad_out):

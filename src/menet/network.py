@@ -1,6 +1,6 @@
 """Ordered layer-graph container shared by the builder, trainer and CLI."""
 
-from .layers import Chain, Composite
+from .layers import Chain
 
 
 class Network(Chain):
@@ -10,12 +10,10 @@ class Network(Chain):
     in reverse. Layer paths are ``<item>/<path>`` (``stage2.0/merge.conv``);
     parameter names read the ``/`` as ``.``.
 
-    An eval forward keeps no backward state: as each item returns (a folded
-    conv and batch norm count as one), its cache and the caches of every
-    layer inside it are cleared, so a backward after it raises
-    ``RuntimeError``. A train forward caches everything again, and each
-    cache lives until the backward that reads it: a step's earlier caches
-    are freed as its gradient arrays appear, and a second backward raises.
+    A backward pairs with the last forward: an eval forward leaves no
+    layer or module a cache (each batch norm here is folded into its conv),
+    so a backward after it raises ``RuntimeError``; a train cache lives
+    until the backward that reads it, and a second backward raises.
     """
 
     sep = "/"
@@ -26,13 +24,6 @@ class Network(Chain):
         self.in_channels = in_channels
         self.input_size = input_size
         self.num_classes = num_classes
-
-    def _eval_ran(self, steps):
-        for step in steps:
-            step._cache = None
-            if isinstance(step, Composite):
-                for _, layer in step.all_layers():
-                    layer._cache = None
 
     def named_params(self):
         return self.params.items()

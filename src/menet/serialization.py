@@ -4,9 +4,10 @@ writer and one reader: a ``<base>.json`` manifest (``format``, ``version``,
 byte count and CRC32) and a ``<base>.bin`` blob of the arrays' raw
 little-endian values in that order, streamed from each array's own memory
 (no copy of the blob is made). Before returning any array the reader checks
-format, version, dtype and names, each entry's bounds, checksum and byte
-count against its shape, and that the entries tile the blob; it returns
-writable views into its one copy of the blob.
+format, version, dtype, the type of every entry field (a ``ValueError``
+names the entry and the field), names, each entry's bounds, checksum and
+byte count against its shape, and that the entries tile the blob; it
+returns writable views into its one copy of the blob.
 
 Weights: ``menet-weights`` v1, float64 (lossless), the parameters, then
 each batch norm's running statistics, so eval mode survives a round trip,
@@ -65,6 +66,45 @@ def _write(base, kind, arrays, **fields):
     return manifest_path
 
 
+def _count(where, field, value):
+    """``value`` if an integer >= 0 (JSON's true, 1.0 and null are not)."""
+    if type(value) is not int:
+        raise ValueError(f"{where}: {field} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{where}: negative {field} {value}")
+    return value
+
+
+def _entries(params):
+    """{name: (shape, offset, nbytes, crc32)} of the manifest entries, each
+    field type-checked and no name repeated."""
+    if not isinstance(params, list):
+        raise ValueError("manifest params must be a list of entries, got "
+                         f"{type(params).__name__}")
+    entries = {}
+    for i, entry in enumerate(params):
+        where = f"manifest entry {i}"
+        if not isinstance(entry, dict):
+            raise ValueError(
+                f"{where} must be an object, got {type(entry).__name__}")
+        lacking = [field for field in ("name", "shape", "offset", "nbytes",
+                                       "crc32") if field not in entry]
+        if lacking:
+            raise ValueError(f"{where} lacks its {lacking[0]}")
+        name, shape = entry["name"], entry["shape"]
+        if not isinstance(name, str) or name in entries:
+            raise ValueError(f"{where}: name must be a string that no "
+                             f"earlier entry has, got {name!r}")
+        where = f"{where} ({name!r})"
+        if not isinstance(shape, list):
+            raise ValueError(f"{where}: shape must be a list, got {shape!r}")
+        entries[name] = (
+            tuple(_count(where, "shape dimension", d) for d in shape),
+            *(_count(where, field, entry[field])
+              for field in ("offset", "nbytes", "crc32")))
+    return entries
+
+
 def _read(base, kind, shapes):
     """The manifest and {name: array} of a ``kind`` archive holding exactly
     the names of ``shapes``, in the shapes they map to (None: any)."""
@@ -73,40 +113,37 @@ def _read(base, kind, shapes):
     manifest = json.loads(manifest_path.read_text())
     if not isinstance(manifest, dict) or manifest.get("format") != fmt:
         raise ValueError(f"not a {what} manifest")
-    if manifest.get("version") != version:
-        raise ValueError(f"{fmt} version {manifest.get('version')!r} cannot "
-                         f"be read, only version {version}")
+    got = manifest.get("version")
+    if type(got) is not int or got != version:
+        raise ValueError(f"{fmt} version {got!r} cannot be read, only "
+                         f"version {version}")
     if manifest.get("dtype") != dtype.name:
         raise ValueError(f"unknown archive dtype {manifest.get('dtype')!r}, "
                          f"expected {dtype.name!r}")
-    archived = {entry["name"] for entry in manifest["params"]}
-    missing = [name for name in shapes if name not in archived]
+    entries = _entries(manifest.get("params"))
+    missing = [name for name in shapes if name not in entries]
     if missing:
         raise ValueError(
             f"archive lacks {len(missing)} of the {holder}'s {len(shapes)} "
             f"arrays, first {missing[0]!r}")
-    unknown = [e["name"] for e in manifest["params"] if e["name"] not in shapes]
+    unknown = [name for name in entries if name not in shapes]
     if unknown:
         raise KeyError(f"archive parameter {unknown[0]!r} not in {holder}")
     # writable, and slices copy nothing
     blob = memoryview(np.fromfile(blob_path, dtype=np.uint8))
     arrays, spans = {}, []
-    for entry in manifest["params"]:
-        name = entry["name"]
-        start, stop = entry["offset"], entry["offset"] + entry["nbytes"]
-        if start < 0:
-            raise ValueError(f"negative offset {start} for {name}")
+    for name, (shape, start, nbytes, crc32) in entries.items():
+        stop = start + nbytes
         raw = blob[start:stop]
-        if len(raw) != entry["nbytes"]:
+        if len(raw) != nbytes:
             raise ValueError(f"blob truncated at {name}: {len(raw)} of "
-                             f"{entry['nbytes']} bytes")
-        if zlib.crc32(raw) != entry["crc32"]:
+                             f"{nbytes} bytes")
+        if zlib.crc32(raw) != crc32:
             raise ValueError(f"checksum mismatch for {name}")
-        shape = tuple(entry["shape"])
         want = shape if shapes[name] is None else shapes[name]
         if shape != want or len(raw) != math.prod(shape) * dtype.itemsize:
             raise ValueError(
-                f"shape mismatch for {name}: archive {entry['shape']} in "
+                f"shape mismatch for {name}: archive {list(shape)} in "
                 f"{len(raw)} bytes vs {holder} {list(want)}")
         arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape)
         spans.append((start, stop))

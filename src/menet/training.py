@@ -35,6 +35,9 @@ def cross_entropy(logits, labels):
     """Mean negative log softmax likelihood and its logits gradient."""
     logits = np.asarray(logits, dtype=float)
     labels = np.asarray(labels)
+    if logits.ndim != 2 or 0 in logits.shape:
+        raise ValueError("logits must be (batch, classes) with both >= 1, "
+                         f"got shape {logits.shape}")
     n, k = logits.shape
     if labels.shape != (n,):
         raise ValueError(f"labels shape {labels.shape} != ({n},)")
@@ -80,6 +83,8 @@ class Schedule:
         _check_finite("base_lr", self.base_lr, positive=True)
         for name in ("step_epochs", "total_epochs"):
             value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
 
@@ -126,7 +131,7 @@ class SGD:
 
 def _check_class_count(classes):
     """An integer from 1 to 256; labels are stored as u8."""
-    if not isinstance(classes, numbers.Integral):
+    if type(classes) is bool or not isinstance(classes, numbers.Integral):
         raise ValueError(f"class_count must be an integer, got {classes!r}")
     if not 1 <= classes <= 256:
         raise ValueError(f"class_count {classes} outside [1, 256] "

@@ -123,12 +123,13 @@ def test_skip_path_gradient_is_grad_out():
     cfg = module_config("product", False)
     module = MEModule(cfg, rng=rng)
     # zero every weight: residual branch output is constant in x, so the
-    # input gradient reduces to the skip term (masked by the final relu)
+    # input gradient reduces to the skip term (masked by the final relu);
+    # in train too, since every batch norm's gamma is 0
     for layer in module.named_layers().values():
         for p in layer.params.values():
             p[...] = 0.0
     x = np.abs(rng.normal(size=(1, 8, 4, 4))) + 0.1
-    out = module.forward(x, train=False)
+    out = module.forward(x, train=True)
     go = rng.normal(size=out.shape)
     grad_x = module.backward(go)
     mask = out > 0

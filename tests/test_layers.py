@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,9 @@ from menet.builder import MENetConfig, build_menet
 from menet.layers import (
     AvgPool3x3s2,
     BatchNorm2d,
+    Chain,
     ChannelShuffle,
+    Composite,
     Conv2d,
     GlobalAvgPool,
     Linear,
@@ -662,9 +666,9 @@ def pair_state(conv, bn):
 
 
 def assert_fold_agrees(rng, batch, cin, cout, k, stride, groups, h, wd):
-    """The folded eval pair against the conv then the batch norm: output,
-    input gradient and every parameter gradient within 1e-12 relative to
-    the largest value, and no weight or statistic changed."""
+    """The folded eval pair against the conv then the batch norm: output
+    within 1e-12 relative to the largest value, and no weight or statistic
+    changed."""
     case = f"b{batch} {cin}->{cout} k{k} s{stride} g{groups} {h}x{wd}"
     seed = rng.integers(2 ** 32)
     folded = conv_bn_pair(seed, cin, cout, k, stride, groups)
@@ -675,16 +679,8 @@ def assert_fold_agrees(rng, batch, cin, cout, k, stride, groups, h, wd):
     ref = plain[1].forward(plain[0].forward(x, False), False)
     for key, a in pair_state(*folded).items():
         assert np.array_equal(a, before[key]), f"{key} changed, {case}"
-    grad_out = rng.normal(size=ref.shape)
-    grad_x, ref_grad_x = (conv.backward(bn.backward(grad_out))
-                          for conv, bn in (folded, plain))
-    got = {"out": out, "grad_x": grad_x, "weight": folded[0].grads["weight"],
-           **folded[1].grads}
-    want = {"out": ref, "grad_x": ref_grad_x,
-            "weight": plain[0].grads["weight"], **plain[1].grads}
-    for key, a in got.items():
-        err = np.abs(a - want[key]).max() / np.abs(want[key]).max()
-        assert err <= 1e-12, f"{key}: {err:.3g} rel, {case}"
+    err = np.abs(out - ref).max() / np.abs(ref).max()
+    assert err <= 1e-12, f"out: {err:.3g} rel, {case}"
 
 
 class TestBatchNormFold:
@@ -728,15 +724,16 @@ class TestBatchNormFold:
 
     @pytest.mark.parametrize("downsample", [False, True])
     def test_eval_module_forward_keeps_no_batch_norm_array(self, downsample):
-        # run on its own, a module keeps its caches for a backward; a
-        # folded batch norm caches its conv, not a copy of the conv's
-        # output as an unfolded eval batch norm does
+        # every batch norm of a module is folded into the conv before it,
+        # and neither half of a folded pair keeps a cache, even after a
+        # train forward left both theirs
         rng = np.random.default_rng(15)
         cfg = MEModuleConfig(12 if downsample else 24, 24, 3, 3,
                              downsample=downsample)
         module = MEModule(cfg, rng=rng)
-        module.forward(rng.normal(size=(1, cfg.in_channels, 8, 8)),
-                       train=False)
+        x = rng.normal(size=(2, cfg.in_channels, 8, 8))
+        module.forward(x, train=True)
+        module.forward(x, train=False)
         walk = list(module.all_layers())
         folded = [(path, before, bn)
                   for (_, before), (path, bn) in zip(walk, walk[1:])
@@ -744,7 +741,7 @@ class TestBatchNormFold:
         assert len(folded) == len(list(module.batchnorms())) == 6
         for path, conv, bn in folded:
             assert isinstance(conv, Conv2d), path
-            assert bn._cache is conv, path
+            assert conv._cache is None and bn._cache is None, path
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="expected 1 channels, got 4"):
@@ -778,7 +775,7 @@ class TestActivations:
     def test_relu_gradient_zero_at_zero(self):
         r = ReLU()
         x = np.array([[-1.0, 0.0, 1.0]]).reshape(1, 3, 1, 1)
-        r.forward(x)
+        r.forward(x, train=True)
         g = r.backward(np.ones_like(x))
         assert g.reshape(-1).tolist() == [0.0, 0.0, 1.0]
 
@@ -815,7 +812,7 @@ class TestChannelShuffle:
     def test_backward_inverts_forward(self):
         x = np.random.default_rng(8).normal(size=(2, 12, 3, 3))
         shuffle = ChannelShuffle(3)
-        y = shuffle.forward(x)
+        y = shuffle.forward(x, train=True)
         assert y.flags.writeable
         assert np.array_equal(shuffle.backward(y), x)
 
@@ -830,7 +827,7 @@ class TestChannelShuffle:
         perm = ChannelShuffle.permutation(12, 3)
         inv = np.argsort(perm)
         shuffle = ChannelShuffle(3)
-        y = shuffle.forward(x)
+        y = shuffle.forward(x, train=True)
         grad_x = shuffle.backward(g)
         assert y.flags.c_contiguous and grad_x.flags.c_contiguous
         assert np.array_equal(y, x[:, perm])
@@ -969,7 +966,7 @@ class TestPooling:
         # columns 0-1 read nothing but zeros and padding
         x[0, 1, 1:6, :4] = 0.0
         layer = pool()
-        out = layer.forward(x)
+        out = layer.forward(x, train=True)
         grad_out = rng.normal(size=out.shape)
         grad_x = layer.backward(grad_out)
         ref_out, ref_grad = self.naive_pool(x, grad_out,
@@ -981,7 +978,7 @@ class TestPooling:
         # one window over a 2x2 zero map: the gradient goes to its first
         # tap in (ky, kx) order that holds the maximum, input (0, 0)
         pool = MaxPool3x3s2()
-        pool.forward(np.zeros((1, 1, 2, 2)))
+        pool.forward(np.zeros((1, 1, 2, 2)), train=True)
         grad_x = pool.backward(np.full((1, 1, 1, 1), 3.0))
         assert grad_x[0, 0].tolist() == [[3.0, 0.0], [0.0, 0.0]]
 
@@ -1077,25 +1074,79 @@ def test_out_shape_and_macs_match_forward(kind, stride, make, size):
 @pytest.mark.parametrize("kind,stride,make", SHAPE_CASES,
                          ids=[f"{k}-s{s}" for k, s, _ in SHAPE_CASES])
 def test_backward_takes_the_cache(kind, stride, make, train):
-    # a cache lives from its forward to the backward that reads it
+    # a cache lives from its forward to the backward that reads it; only a
+    # train forward, or a lone batch norm's eval forward, leaves one
     layer = make(stride)
     out = layer.forward(layer_input(kind, 6, np.random.default_rng(0)),
                         train=train)
-    layer.backward(np.ones_like(out))
+    if train or kind == "bn":
+        layer.backward(np.ones_like(out))
     assert layer._cache is None
     with pytest.raises(RuntimeError, match="called without a cached forward"):
         layer.backward(np.ones_like(out))
 
 
-def test_folded_pair_backward_takes_both_caches():
-    # the batch norm reads the conv's input through eval_output, which
-    # leaves it for the conv's own backward
+def test_folded_pair_leaves_no_cache():
+    # the fold clears both caches, so no earlier train cache survives it
     conv, bn = conv_bn_pair(0, 4, 6, 3, 1, 2)
-    out = conv.forward(np.random.default_rng(1).normal(size=(2, 4, 5, 5)),
-                       False, bn=bn)
-    conv.backward(bn.backward(np.ones_like(out)))
+    x = np.random.default_rng(1).normal(size=(2, 4, 5, 5))
+    bn.forward(conv.forward(x, train=True), train=True)
+    out = conv.forward(x, False, bn=bn)
     assert conv._cache is None and bn._cache is None
     for layer in (bn, conv):
         with pytest.raises(RuntimeError,
                            match="called without a cached forward"):
             layer.backward(np.ones_like(out))
+
+
+# (id, unit factory, input shape): every layer kind, a chain with two folded
+# conv->BN pairs, both module strides and a network
+UNIT_CASES = [
+    *((f"{kind}-s{stride}", functools.partial(make, stride),
+       layer_input(kind, 6, np.random.default_rng(0)).shape)
+      for kind, stride, make in SHAPE_CASES),
+    ("chain", lambda: Chain(
+        ("pw", Conv2d(4, 6, 1, groups=2, rng=np.random.default_rng(1))),
+        ("bn", BatchNorm2d(6)), ("relu", ReLU()), ("shuffle", ChannelShuffle(2)),
+        ("dw", Conv2d(6, 6, 3, groups=6, rng=np.random.default_rng(2))),
+        ("bn_dw", BatchNorm2d(6)), ("pool", MaxPool3x3s2())), (2, 4, 6, 6)),
+    ("module-s1", lambda: MEModule(MEModuleConfig(24, 24, 3, 3),
+                                   rng=np.random.default_rng(3)), (2, 24, 6, 6)),
+    ("module-s2", lambda: MEModule(MEModuleConfig(12, 24, 3, 3, downsample=True),
+                                   rng=np.random.default_rng(4)), (2, 12, 6, 6)),
+    ("network", lambda: build_menet(desk_config(), seed=0), (2, 3, 8, 8)),
+]
+
+
+def cache_holders(unit):
+    """(path, holder) for everything in ``unit`` that keeps a cache: its
+    layers, and each module, which caches its (d, f)."""
+    if not isinstance(unit, Composite):
+        return [("", unit)]
+    steps = [("", unit)] + getattr(unit, "steps", [])
+    return list(unit.all_layers()) + [
+        (path, step) for path, step in steps if isinstance(step, MEModule)]
+
+
+@pytest.mark.parametrize("name,make_unit,shape", UNIT_CASES,
+                         ids=[name for name, _, _ in UNIT_CASES])
+def test_eval_forward_leaves_no_backward_state(name, make_unit, shape):
+    # a backward pairs with the last forward, and an eval one leaves it
+    # nothing but a lone batch norm's input: so a train forward's caches do
+    # not survive an eval forward, and a backward after it raises before
+    # any gradient array appears
+    unit = make_unit()
+    x = np.random.default_rng(5).normal(size=shape)
+    unit.forward(x, train=True)
+    out = unit.forward(x, train=False)
+    if isinstance(unit, BatchNorm2d):
+        assert unit._cache is x   # not the train forward's tuple
+        return
+    holders = cache_holders(unit)
+    for path, holder in holders:
+        assert holder._cache is None, path
+    with pytest.raises(RuntimeError, match="without a cached forward"):
+        unit.backward(np.ones_like(out))
+    # a module's grads property would create the arrays it reads
+    assert not any(holder.grads for _, holder in holders
+                   if not isinstance(holder, MEModule))

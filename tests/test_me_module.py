@@ -320,8 +320,10 @@ def reference_layer_shapes(m, shape):
 @pytest.mark.parametrize("combine_mode", ["product", "addition"])
 def test_chains_bit_identical_to_hand_wired_reference(combine_mode,
                                                       downsample, train):
-    """The gradcheck-tiny variants: output, input gradient, every parameter
-    gradient, batch-norm running statistics and shape rows."""
+    """The gradcheck-tiny variants: output, batch-norm running statistics
+    and shape rows; in train, the input gradient and every parameter
+    gradient too. An eval forward leaves no backward state, so a backward
+    after it raises and creates no gradient array."""
     cfg = MEModuleConfig(4 if downsample else 8, 8, 2, 2,
                          downsample=downsample, combine_mode=combine_mode)
     module, ref = make(cfg, seed=11), make(cfg, seed=11)
@@ -332,12 +334,19 @@ def test_chains_bit_identical_to_hand_wired_reference(combine_mode,
         ref_out, cache = reference_forward(ref, x, train)
         assert np.array_equal(out, ref_out)
         grad_out = rng.normal(size=out.shape)
+        if not train:
+            with pytest.raises(RuntimeError, match="without a cached forward"):
+                module.backward(grad_out)
+            continue
         assert np.array_equal(module.backward(grad_out),
                               reference_backward(ref, cache, grad_out))
     assert list(module.named_layers()) == list(reference_named_layers(ref))
-    assert list(module.grads) == list(ref.grads)
-    for name, g in module.grads.items():
-        assert np.array_equal(g, ref.grads[name]), name
+    if train:
+        assert list(module.grads) == list(ref.grads)
+        for name, g in module.grads.items():
+            assert np.array_equal(g, ref.grads[name]), name
+    else:
+        assert not any(layer.grads for _, layer in module.all_layers())
     for (name, bn), (_, ref_bn) in zip(module.batchnorms(), ref.batchnorms()):
         assert np.array_equal(bn.running_mean, ref_bn.running_mean), name
         assert np.array_equal(bn.running_var, ref_bn.running_var), name

@@ -244,23 +244,78 @@ class TestWeightArchive:
         with pytest.raises(ValueError, match="not a weight archive"):
             load_weights(tiny_net(), tmp_path / "x")
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda m: m["params"][2].update(offset=None),
+         r"entry 2 \('[\w.]+'\): offset must be an integer, got None"),
+        (lambda m: m["params"][2].update(nbytes=True),
+         r"entry 2 \('[\w.]+'\): nbytes must be an integer, got True"),
+        (lambda m: m["params"][2].update(offset=float(m["params"][2]["offset"])),
+         r"entry 2 \('[\w.]+'\): offset must be an integer, got \d+\.0"),
+        (lambda m: m["params"][2].pop("crc32"), "manifest entry 2 lacks its crc32"),
+        (lambda m: m["params"][2].update(crc32="0"),
+         r"entry 2 \('[\w.]+'\): crc32 must be an integer, got '0'"),
+        (lambda m: m.update(params={}),
+         "manifest params must be a list of entries, got dict"),
+        (lambda m: m["params"].__setitem__(1, ["name"]),
+         "manifest entry 1 must be an object, got list"),
+        (lambda m: m["params"][1].update(name=7),
+         "manifest entry 1: name must be a string that no earlier entry "
+         "has, got 7"),
+        (lambda m: m["params"][1].update(name=m["params"][0]["name"]),
+         r"manifest entry 1: name must be a string that no earlier entry "
+         r"has, got '[\w.]+'"),
+        (lambda m: m["params"][1].update(shape=None),
+         r"entry 1 \('[\w.]+'\): shape must be a list, got None"),
+        (lambda m: m["params"][1].update(shape=[1.0]),
+         r"entry 1 \('[\w.]+'\): shape dimension must be an integer, "
+         r"got 1\.0"),
+        (lambda m: m["params"][1].update(shape=[2, -1]),
+         r"entry 1 \('[\w.]+'\): negative shape dimension -1"),
+        (lambda m: m.update(version=True),
+         "menet-weights version True cannot be read, only version 1"),
+        (lambda m: m.update(version=1.0),
+         "menet-weights version 1.0 cannot be read, only version 1"),
+    ])
+    def test_malformed_manifest_field_named(self, tmp_path, edit, message):
+        save_weights(tiny_net(), tmp_path / "w")
+        rewrite_manifest(tmp_path / "w", edit)
+        with pytest.raises(ValueError, match=message):
+            load_weights(tiny_net(), tmp_path / "w")
 
-# one manifest field and a new value for it: an entry's offset, byte count,
-# checksum, shape or name, or the archive's dtype or version
+
+# a mutation value that deletes the field instead of setting it
+DROP = object()
+# JSON values of the wrong type for every manifest field
+ODD_VALUES = st.one_of(st.none(), st.text(), st.floats(), st.booleans())
+
+
+# one manifest field and a new value for it, or its deletion: an entry's
+# offset, byte count, checksum, shape or name, or the archive's dtype,
+# version or entry list
 def mutations(names):
     return st.one_of(
         st.tuples(st.sampled_from(["offset", "nbytes", "crc32"]),
-                  st.integers(-2 ** 40, 2 ** 40)),
-        st.tuples(st.just("shape"), st.lists(st.integers(0, 40), max_size=4)),
+                  st.one_of(st.integers(-2 ** 40, 2 ** 40), ODD_VALUES)),
+        st.tuples(st.just("shape"), st.one_of(
+            st.lists(st.integers(0, 40), max_size=4),
+            st.lists(st.one_of(st.integers(-3, -1), ODD_VALUES), min_size=1,
+                     max_size=4),
+            ODD_VALUES)),
         st.tuples(st.just("name"),
-                  st.one_of(st.sampled_from(names), st.text())),
+                  st.one_of(st.sampled_from(names), st.text(), st.integers(),
+                            ODD_VALUES)),
         st.tuples(st.just("dtype"),
                   st.one_of(st.sampled_from(["float64", "float32", "float16",
                                              "<f8", "uint8", "u1"]),
-                            st.text())),
+                            ODD_VALUES)),
         st.tuples(st.just("version"),
-                  st.one_of(st.integers(-3, 3), st.floats(), st.text(),
-                            st.none())),
+                  st.one_of(st.integers(-3, 3), ODD_VALUES)),
+        st.tuples(st.just("params"), st.one_of(
+            st.dictionaries(st.text(), st.integers(), max_size=2),
+            st.lists(ODD_VALUES, min_size=1, max_size=2), ODD_VALUES)),
+        st.tuples(st.sampled_from(["offset", "nbytes", "crc32", "shape",
+                                   "name", "dtype", "version", "params"]),
+                  st.just(DROP)),
     )
 
 
@@ -270,7 +325,7 @@ DATASET_NAMES = ["images", "labels"]
 BAD_CLASS_COUNTS = st.one_of(
     st.integers(-2 ** 40, 2), st.integers(257, 2 ** 40), st.floats(),
     st.text(), st.none(), st.booleans())
-ARCHIVE_FIELDS = {"dtype", "version", "class_count"}
+ARCHIVE_FIELDS = {"dtype", "version", "class_count", "params"}
 
 
 @pytest.fixture(scope="module")
@@ -294,11 +349,16 @@ def write_archive(base, manifest, blob):
 
 def with_field(manifest, field, value, index):
     """A copy of ``manifest`` with ``field`` of the archive, or of entry
-    ``index``, set to ``value``; hypothesis skips a value already there."""
+    ``index``, set to ``value`` (deleted for ``DROP``); hypothesis skips a
+    value already there, compared as JSON text, so 1.0 and true differ
+    from 1."""
     manifest = json.loads(json.dumps(manifest))
     holder = manifest if field in ARCHIVE_FIELDS else manifest["params"][index]
-    assume(holder[field] != value)
-    holder[field] = value
+    if value is DROP:
+        del holder[field]
+    else:
+        assume(json.dumps(holder[field]) != json.dumps(value))
+        holder[field] = value
     return manifest
 
 
@@ -337,7 +397,8 @@ def test_fuzzed_dataset_manifest_fails_cleanly(archives, mutation, index):
     """Any one changed dataset-manifest field fails the load cleanly."""
     base, manifest, blob = archives["d"]
     field, value = mutation
-    if field == "shape" and index == 0:
+    if field == "shape" and index == 0 and isinstance(value, list) \
+            and all(type(d) is int for d in value):
         # (24, c, h, w) with c * h * w = 108 is a valid manifest of other
         # images in the same bytes, which no check can tell apart
         assume(len(value) != 4 or value[0] != 24

@@ -1,5 +1,7 @@
 """Loss, optimizer, schedule, data and training-loop determinism."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,14 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             cross_entropy(np.zeros((2, 3)), np.array([0]))
 
+    @pytest.mark.parametrize("shape", [(2,), (2, 3, 1), (0, 3), (2, 0)])
+    def test_logits_not_a_batch_of_rows_named(self, shape):
+        # an empty batch would otherwise reach numpy's reduction errors
+        with pytest.raises(ValueError, match=(
+                r"logits must be \(batch, classes\) with both >= 1, got "
+                rf"shape {re.escape(str(shape))}")):
+            cross_entropy(np.zeros(shape), np.zeros(shape[:1], dtype=int))
+
     @pytest.mark.parametrize("labels,named", [
         ([0.7, 2.9], "got 0.7 at index 0"),
         ([1, 1.5], "got 1.5 at index 1"),
@@ -102,6 +112,14 @@ class TestSchedule:
         with pytest.raises(ValueError, match=f"{name} must be >= 1, got {value}"):
             Schedule(**{name: value})
         assert Schedule(step_epochs=1, total_epochs=1).lr_at(0) == 0.1
+
+    @pytest.mark.parametrize("name", ["step_epochs", "total_epochs"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, float("nan"), "3", True])
+    def test_epochs_not_integers_rejected(self, name, value):
+        with pytest.raises(ValueError,
+                           match=f"{name} must be an integer, got {value!r}"):
+            Schedule(**{name: value})
+        assert Schedule(step_epochs=np.int64(2)).lr_at(2) == 0.1 * 0.1
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                        float("-inf"), 0.0, -0.1])
@@ -248,7 +266,7 @@ class TestSyntheticData:
         with pytest.raises(ValueError, match="matching labels"):
             Dataset(np.zeros((2, 1, 2, 2)), [[0], [1]], 2)
 
-    @pytest.mark.parametrize("classes", ["2", 2.5, 2.0, None])
+    @pytest.mark.parametrize("classes", ["2", 2.5, 2.0, None, True])
     def test_non_integer_class_count_rejected(self, classes):
         with pytest.raises(ValueError, match="class_count must be an integer"):
             Dataset(np.zeros((2, 1, 2, 2)), [0, 1], classes)
