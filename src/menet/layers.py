@@ -10,15 +10,17 @@ returns the gradient w.r.t. the input and adds parameter gradients into
 first backward, as zeros, and ``zero_grad`` drops them all.
 
 Training runs the reference convolution, ``conv2d_raw`` and
-``conv2d_backward_raw``, with no Python loop over input channels. The
-forward adds every output's products from 0 in (input channel, ky, kx)
-order, bit-identical to the naive loop in the test suite. Each gradient is
-one einsum over all channels per tap, the weight gradient's arranged to
+``conv2d_backward_raw``, with no Python loop over channels or taps. The
+forward is one einsum over one copy of the windows, which adds every
+output's products from 0 in (input channel, ky, kx) order. Each gradient
+is one einsum over all channels per tap, the weight gradient's arranged to
 round as numpy's einsum("nohw,nhw->o") taken per (group, input channel,
-tap) on a C-ordered input (see ``conv2d_backward_raw``). The test suite
-checks the forward and both gradients against the frozen per-group kernels
-these replaced with ``np.array_equal``, so a numpy whose einsum sums in
-another order fails there rather than shifting results silently.
+tap) on a C-ordered input (see ``conv2d_backward_raw``). The bits of all
+three are thus those of this build's einsum, which must neither fuse a
+multiply with an add nor sum these loops in another order: the test suite
+holds the forward to the naive loop, and all three to the frozen per-group
+kernels they replaced, with ``np.array_equal``, so a numpy whose einsum
+rounds otherwise fails there rather than shifting results silently.
 Train-mode batch norm runs numpy's mean/var reductions without their
 wrappers and writes over its own temporaries, byte for byte as
 ``x.mean``/``x.var``.
@@ -188,8 +190,8 @@ class Conv2d(Layer):
             )
         self._cache = x if train else None
         w = self.params["weight"]
-        # training stays on the bit-identical reference kernel; this branch
-        # goes once ROADMAP 1(a)+(b) move training onto conv2d_gemm
+        # training runs the bit-identical reference kernel; moving the
+        # pointwise and dense convs onto conv2d_gemm is ROADMAP item 2
         if train:
             return conv2d_raw(x, w, self.stride, self.pad, self.groups)
         if bn is None:
@@ -225,58 +227,52 @@ def _rows_join(a):
     return h == 1 or w == 1 or a.strides[-2] == w * a.strides[-1]
 
 
-# Bytes of one block of products in _sum_of_products: smaller blocks cost
-# more numpy calls on small maps, larger ones fall out of the CPU cache
-# (2 MiB blocks made a train-32 step about 7% slower).
-_BLOCK_BYTES = 1 << 18
-
-
-def _sum_of_products(cols, wt):
-    """sum over t of cols[t] * wt[t], for cols (terms, groups, 1, m) and wt
-    (terms, groups, per-group, 1): (groups, per-group, m), each element
-    added from 0 in term order, as a loop of multiply-adds would.
-
-    The products of a block of terms are written below the running sum, and
-    one np.add.reduce over the block's first axis adds its rows in order
-    into the next running sum. A one-element sum adds term by term, since
-    np.add.reduce sums a lone axis pairwise; so does a block of one term,
-    where an in-place add is cheaper than a reduce."""
-    terms, groups, _, m = cols.shape
-    size = groups * wt.shape[2] * m
-    per = min(terms, max(1, _BLOCK_BYTES // (8 * size))) if size > 1 else 1
-    block = np.empty((1 + per, groups, wt.shape[2], m))
-    acc = block[0]
-    acc[...] = 0.0
-    for t in range(0, terms, per):
-        b = min(per, terms - t)
-        np.multiply(cols[t:t + b], wt[t:t + b], out=block[1:1 + b])
-        if b == 1:
-            acc += block[1]
-        else:
-            acc[...] = np.add.reduce(block[:1 + b], axis=0)
-    return acc
+def _window_view(x, k, stride, pad, groups):
+    """The k x k windows of ``x``, read C-ordered and zero-padded, as one
+    strided view of the padded map, (n, groups, in per group, k, k, oh,
+    ow)."""
+    xp, (oh, ow), _ = _windows(np.ascontiguousarray(x), k, stride, pad)
+    n, c, hp, wp = xp.shape
+    chan, row, item = hp * wp * xp.itemsize, wp * xp.itemsize, xp.itemsize
+    return np.ndarray(
+        (n, groups, c // groups, k, k, oh, ow), xp.dtype, buffer=xp,
+        offset=0, strides=(c * chan, c // groups * chan, chan, row, item,
+                           stride * row, stride * item))
 
 
 def conv2d_raw(x, w, stride, pad, groups):
-    """The reference forward conv, C-ordered. The windows are gathered once
-    into columns (in-channel within group, ky, kx, group, n, oh, ow), the
-    term order of every output, and ``_sum_of_products`` adds their
-    products with the weights from 0 in that order: bit-identical to a
-    loop of multiply-adds over (in-channel, ky, kx)."""
+    """The reference forward conv, C-ordered. The windows are copied once
+    into columns (in-channel within group, ky, kx, group, n * oh * ow), the
+    term order of every output, and one einsum adds their products with the
+    weights from 0 in that order: bit-identical to a loop of multiply-adds
+    over (in-channel, ky, kx) while this numpy's einsum does not fuse a
+    multiply and an add, as the backward's gradients also assume. The test
+    suite holds it to the naive loop with ``np.array_equal``."""
     n = x.shape[0]
     cout, cpg, k, _ = w.shape
     opg = cout // groups
-    xp, (oh, ow), taps = _windows(x, k, stride, pad)
-    xg = xp.reshape(n, groups, cpg, *xp.shape[2:])
-    # one column row per (input channel within group, ky, kx), the order in
-    # which every output adds its terms
-    cols = np.empty((cpg, k, k, groups, n, oh, ow))
-    for ky, kx, rows, cs in taps:
-        cols[:, ky, kx] = xg[:, :, :, rows, cs].transpose(2, 1, 0, 3, 4)
-    terms = cpg * k * k
-    sums = _sum_of_products(
-        cols.reshape(terms, groups, 1, n * oh * ow),
-        w.reshape(groups, opg, terms).transpose(2, 0, 1)[..., None])
+    win = _window_view(x, k, stride, pad, groups)
+    oh, ow = win.shape[-2:]
+    terms, m = cpg * k * k, n * oh * ow
+    cols = np.ascontiguousarray(win.transpose(2, 3, 4, 1, 0, 5, 6),
+                                dtype=float).reshape(terms, groups, m)
+    wt = w.reshape(groups, opg, terms).transpose(2, 0, 1)
+    # einsum adds each output's terms from 0 in order only while its
+    # innermost loop runs over outputs; with several pixels it runs over
+    # them, contiguous in cols and in the output, and wt stays a view (a
+    # contiguous copy is as exact but sweeps the output once per term)
+    if groups * opg * m == 1:
+        # one output element: einsum would sum the lone term axis in SIMD
+        # lanes, so the rounded products are added one by one
+        acc = 0.0
+        for a, b in zip(cols.ravel().tolist(), wt.ravel().tolist()):
+            acc += a * b
+        return np.full((1, 1, 1, 1), acc)
+    if m == 1:
+        # one pixel: as a view, wt's terms (its smallest stride) would run
+        # innermost; laid out (term, group, out) the output channels do
+        wt = np.ascontiguousarray(wt)
+    sums = np.einsum("tgm,tgo->gom", cols, wt)
     # C order: batch norm's reductions, and so its bits, follow the layout
     out = np.empty((n, cout, oh, ow))
     out.reshape(n, groups, opg, oh * ow)[...] = sums.reshape(
@@ -287,24 +283,16 @@ def conv2d_raw(x, w, stride, pad, groups):
 def conv2d_gemm(x, w, stride, pad, groups):
     """The forward conv as one batched matmul of the weights, read as
     (groups, out per group, in per group * k * k), with the input columns,
-    (n, groups, in per group * k * k, oh * ow). A 1x1 conv reads its input
-    as the columns, a view when the stride is 1; a 3x3 conv, depthwise
-    included (one channel per group), copies its windows into them
-    (im2col). BLAS sums in its own order, so results differ from
-    ``conv2d_raw`` in the last bits."""
+    (n, groups, in per group * k * k, oh * ow), read from ``conv2d_raw``'s
+    window view: a view of a C-ordered input for an unpadded 1x1 conv at
+    stride 1, else one copy (im2col, depthwise included). BLAS sums in its
+    own order, so results differ from ``conv2d_raw`` in the last bits."""
     n = x.shape[0]
     cout, cpg, k, _ = w.shape
-    xp, (oh, ow), taps = _windows(x, k, stride, pad)
-    if k == 1:
-        columns = xp[:, :, ::stride, ::stride]
-    else:
-        xg = xp.reshape(n, groups, cpg, *xp.shape[2:])
-        columns = np.empty((n, groups, cpg, k, k, oh, ow))
-        for ky, kx, rows, cols in taps:
-            columns[:, :, :, ky, kx] = xg[:, :, :, rows, cols]
-    columns = columns.reshape(n, groups, cpg * k * k, oh * ow)
+    win = _window_view(x, k, stride, pad, groups)
+    columns = win.reshape(n, groups, cpg * k * k, -1)
     out = np.matmul(w.reshape(groups, cout // groups, cpg * k * k), columns)
-    return out.reshape(n, cout, oh, ow)
+    return out.reshape(n, cout, *win.shape[-2:])
 
 
 def conv2d_backward_raw(x, w, grad_out, stride, pad, groups):
@@ -711,6 +699,15 @@ class Chain(Composite):
         return x
 
     def backward(self, grad_out):
+        # every cache is checked before the first step writes a gradient:
+        # the layers' in the order backward reads them, then each module
+        # step's own (d, f)
+        modules = [(name, step) for name, step in self.steps
+                   if isinstance(step, Composite) and hasattr(step, "_cache")]
+        for path, holder in list(self.all_layers())[::-1] + modules:
+            if holder._cache is None:
+                raise RuntimeError(f"{path}: {type(holder).__name__}.backward"
+                                   " called without a cached forward")
         for _, step in reversed(self.steps):
             grad_out = step.backward(grad_out)
         return grad_out

@@ -2,9 +2,19 @@
 
 import importlib.util
 import tracemalloc
+import warnings
 
 import numpy
 import pytest
+
+# hypothesis imports this module when a test fails, to print the failing
+# example as a patch; under the suite's error::DeprecationWarning filter the
+# warning one of its imports raises would abort the session there, hiding
+# every test after the failing one. Imported here once, with that warning
+# ignored for this import only.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def pytest_report_header(config):

@@ -2,7 +2,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from menet import layers
 from menet.builder import MENetConfig, build_menet
@@ -328,7 +328,7 @@ class TestConv2d:
         assert_matches_per_group(x, w, grad_out, 1, pad, groups)
 
     def test_one_element_output_adds_in_order(self):
-        # np.add.reduce sums a lone axis pairwise, not in order
+        # einsum sums a lone term axis in SIMD lanes, not in order
         rng = np.random.default_rng(10)
         for cin in (8, 64):
             x = rng.normal(size=(1, cin, 1, 1)) * 10.0 ** rng.uniform(
@@ -339,17 +339,55 @@ class TestConv2d:
             assert_matches_per_group(x, w, rng.normal(size=(1, 1, 1, 1)), 1,
                                      0, 1)
 
-    def test_terms_spanning_several_product_blocks(self):
-        # the running sum is carried from one block of products to the next
+    def test_576_term_sums_add_in_order(self):
+        # 64 input channels under a 3x3 kernel: each output's running sum
+        # is carried through 576 products
         rng = np.random.default_rng(11)
         cin, cout, batch, size = 64, 2, 2, 4
-        per_block = layers._BLOCK_BYTES // (8 * cout * batch * size * size)
-        assert 2 <= per_block < cin * 9
         x, w, grad_out, pad = random_conv_case(rng, batch, cin, cout, 3, 1, 1,
                                                size, size)
         assert np.array_equal(conv2d_raw(x, w, 1, pad, 1),
                               naive_conv(x, w, 1, pad, 1))
         assert_matches_per_group(x, w, grad_out, 1, pad, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(groups=st.integers(1, 3), opg=st.integers(1, 3),
+           cpg=st.integers(1, 8), batch=st.integers(1, 2),
+           oh=st.integers(1, 3), ow=st.integers(1, 3),
+           k=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),
+           seed=st.integers(0, 2 ** 16))
+    # one output element, and one pixel under a dense conv with several
+    # outputs: einsum sums the terms in SIMD lanes there unless guided
+    @example(groups=1, opg=1, cpg=8, batch=1, oh=1, ow=1, k=1, stride=1,
+             seed=1)
+    @example(groups=1, opg=2, cpg=8, batch=1, oh=1, ow=1, k=1, stride=1,
+             seed=1)
+    def test_degenerate_shapes_bit_identical_to_naive(
+            self, groups, opg, cpg, batch, oh, ow, k, stride, seed):
+        # groups, outputs per group and n * oh * ow are the axes whose
+        # lengths change einsum's loop order; each is drawn down to 1, so
+        # one output element and 1x1 maps at batch 1 come up. The map is
+        # the smallest that gives oh x ow.
+        rng = np.random.default_rng(seed)
+        x, w, _, pad = random_conv_case(
+            rng, batch, groups * cpg, groups * opg, k, stride, groups,
+            (oh - 1) * stride + 1, (ow - 1) * stride + 1)
+        out = conv2d_raw(x, w, stride, pad, groups)
+        assert out.shape == (batch, groups * opg, oh, ow)
+        assert np.array_equal(out, naive_conv(x, w, stride, pad, groups))
+
+    def test_einsum_does_not_fuse_multiply_adds(self):
+        # -1 + (1 + 2^-30)(1 - 2^-30): the product rounds to 1, so the sum
+        # is 0.0; a fused multiply-add keeps the exact -2^-60
+        eps = 2.0 ** -30
+        x = np.array([1.0, 1.0 + eps])[None, :, None, None].repeat(2, axis=3)
+        w = np.array([-1.0, 1.0 - eps]).reshape(1, 2, 1, 1)
+        out = conv2d_raw(x, w, 1, 0, 1)
+        assert np.array_equal(out, np.zeros((1, 1, 1, 2))), (
+            f"this numpy's einsum fuses multiply-adds (got {out.ravel()}): "
+            "the bit-identity tests and train-32's committed trajectory "
+            "assume unfused einsum; see the numpy SIMD baseline in the "
+            "test report header")
 
     @pytest.mark.parametrize("layout", ["C", "F", "nhwc-view",
                                         "reversed-channels", "channel-slice"])
@@ -426,10 +464,10 @@ class TestConv2d:
     ])
     def test_train_step_memory_of_train_32_convs(self, config, traced):
         # 352-MENet-12x1, g=8, 32 px, batch 16: forward and backward each
-        # peak within the running sum and one row of products (2x the
-        # output) plus 0.5 MiB above the input, output and column arrays,
-        # so a larger product block fails here before it raises the
-        # step's peak RSS
+        # peak within 2x the output plus 0.5 MiB above the input, output
+        # and column arrays (the forward holds the einsum's output besides
+        # its own), so a kernel that holds more fails here before it raises
+        # the step's peak RSS
         assert config in conv_configs("352-MENet-12x1/g8")
         cin, cout, k, stride, groups, h, wd = config
         conv = Conv2d(cin, cout, k, stride=stride, groups=groups,
@@ -1150,3 +1188,32 @@ def test_eval_forward_leaves_no_backward_state(name, make_unit, shape):
     # a module's grads property would create the arrays it reads
     assert not any(holder.grads for _, holder in holders
                    if not isinstance(holder, MEModule))
+
+
+def test_chain_backward_checks_every_cache_before_any_step():
+    # a lone batch norm keeps its input in eval, the ReLU before it keeps
+    # nothing: the backward raises before the norm adds a gradient
+    bn = BatchNorm2d(2)
+    chain = Chain(("relu", ReLU()), ("bn", bn))
+    out = chain.forward(np.random.default_rng(0).normal(size=(2, 2, 3, 3)))
+    assert bn._cache is not None
+    with pytest.raises(RuntimeError,
+                       match="relu: ReLU.backward called without a cached"):
+        chain.backward(np.ones_like(out))
+    assert not bn.grads
+    assert bn._cache is not None
+
+
+def test_network_backward_checks_module_caches():
+    # a module caches its (d, f) besides its layers'; without it the
+    # network backward raises before its head adds a gradient
+    net = build_menet(desk_config(), seed=0)
+    out = net.forward(np.random.default_rng(0).normal(size=(2, 3, 8, 8)),
+                      train=True)
+    name, module = next((n, s) for n, s in net.steps
+                        if isinstance(s, MEModule))
+    module._cache = None
+    with pytest.raises(RuntimeError,
+                       match=f"{name}: MEModule.backward called without"):
+        net.backward(np.ones_like(out))
+    assert not any(layer.grads for _, layer in net.all_layers())
