@@ -10,17 +10,20 @@ returns the gradient w.r.t. the input and adds parameter gradients into
 first backward, as zeros, and ``zero_grad`` drops them all.
 
 Training runs the reference convolution, ``conv2d_raw`` and
-``conv2d_backward_raw``, with no Python loop over channels or taps. The
-forward is one einsum over one copy of the windows, which adds every
-output's products from 0 in (input channel, ky, kx) order. Each gradient
-is one einsum over all channels per tap, the weight gradient's arranged to
-round as numpy's einsum("nohw,nhw->o") taken per (group, input channel,
-tap) on a C-ordered input (see ``conv2d_backward_raw``). The bits of all
-three are thus those of this build's einsum, which must neither fuse a
-multiply with an add nor sum these loops in another order: the test suite
-holds the forward to the naive loop, and all three to the frozen per-group
-kernels they replaced, with ``np.array_equal``, so a numpy whose einsum
-rounds otherwise fails there rather than shifting results silently.
+``conv2d_backward_raw``, with no Python loop over channels. The forward is
+one einsum over one copy of the windows, channels-last for a depthwise
+conv, which adds every output's products from 0 in (input channel, ky, kx)
+order. Each gradient takes one step over all channels per tap: for the
+input gradient an einsum that reads the weights with the out-channels it
+sums innermost, or for a depthwise conv one channels-last product; for the
+weight gradient an einsum arranged to round as numpy's
+einsum("nohw,nhw->o") taken per (group, input channel, tap) on a C-ordered
+input (see ``conv2d_backward_raw``). The bits of all three are thus those
+of this build's einsum, which must neither fuse a multiply with an add nor
+sum these loops in another order: the test suite holds the forward to the
+naive loop, and all three to the frozen per-group kernels they replaced,
+byte for byte, so a numpy whose einsum rounds otherwise fails there rather
+than shifting results silently.
 Train-mode batch norm runs numpy's mean/var reductions without their
 wrappers and writes over its own temporaries, byte for byte as
 ``x.mean``/``x.var``.
@@ -243,14 +246,30 @@ def _window_view(x, k, stride, pad, groups):
 def conv2d_raw(x, w, stride, pad, groups):
     """The reference forward conv, C-ordered. The windows are copied once
     into columns (in-channel within group, ky, kx, group, n * oh * ow), the
-    term order of every output, and one einsum adds their products with the
-    weights from 0 in that order: bit-identical to a loop of multiply-adds
-    over (in-channel, ky, kx) while this numpy's einsum does not fuse a
-    multiply and an add, as the backward's gradients also assume. The test
-    suite holds it to the naive loop with ``np.array_equal``."""
-    n = x.shape[0]
+    term order of every output, or for a depthwise conv into a channels-last
+    map, and one einsum adds their products with the weights from 0 in that
+    order: bit-identical to a loop of multiply-adds over (in-channel, ky,
+    kx) while this numpy's einsum does not fuse a multiply and an add, as
+    the backward's gradients also assume. The test suite holds it to the
+    naive loop byte for byte."""
+    n, _, h, wd = x.shape
     cout, cpg, k, _ = w.shape
     opg = cout // groups
+    if cpg == opg == 1 < groups:
+        # depthwise, channels-last: x is copied once into a zero-padded
+        # (n, h, w, c) map, so einsum's innermost loop runs over channels,
+        # contiguous in every operand, and adds each output's taps from 0
+        # in (ky, kx) order
+        (oh, ow), _ = _tap_geometry(h, wd, k, stride, pad)
+        xp = np.zeros((n, h + 2 * pad, wd + 2 * pad, cout))
+        xp[:, pad:pad + h, pad:pad + wd] = x.transpose(0, 2, 3, 1)
+        sn, sh, sw, sc = xp.strides
+        win = np.ndarray((n, oh, ow, k, k, cout), xp.dtype, buffer=xp,
+                         offset=0, strides=(sn, stride * sh, stride * sw,
+                                            sh, sw, sc))
+        sums = np.einsum("nhwyxc,yxc->nhwc", win,
+                         np.ascontiguousarray(w[:, 0].transpose(1, 2, 0)))
+        return np.ascontiguousarray(sums.transpose(0, 3, 1, 2))
     win = _window_view(x, k, stride, pad, groups)
     oh, ow = win.shape[-2:]
     terms, m = cpg * k * k, n * oh * ow
@@ -299,13 +318,14 @@ def conv2d_backward_raw(x, w, grad_out, stride, pad, groups):
     """The reference backward conv: (grad_x, grad_w), grad_x a C-ordered
     array of its own. grad_x takes, per tap, one einsum over every channel,
     whose sum over output channels rounds as the per-group einsum it
-    replaced, and adds the taps in (ky, kx) order into a zeroed padded map;
-    an unpadded 1x1 conv at stride 1 has one tap over every pixel, so its
-    einsum's output is the gradient (a -0.0 there is kept, where the
-    zeroed map would give +0.0). grad_w takes one einsum per tap over every
-    channel, arranged to reproduce the per-group einsum's rounding (see the
-    comment below). ``x`` is read C-ordered, so grad_w does not depend on
-    its memory layout."""
+    replaced, or for a depthwise conv one channels-last product, and adds
+    the taps in (ky, kx) order into a zeroed padded map; an unpadded 1x1
+    conv at stride 1 has one tap over every pixel, so its einsum's output
+    is the gradient (a -0.0 there is kept, where the zeroed map would give
+    +0.0). grad_w takes one einsum per tap over every channel, arranged to
+    reproduce the per-group einsum's rounding (see the comment below).
+    ``x`` is read C-ordered, so grad_w does not depend on its memory
+    layout."""
     x = np.ascontiguousarray(x)
     n, _, h, wd = x.shape
     cout, cpg, k, _ = w.shape
@@ -314,24 +334,48 @@ def conv2d_backward_raw(x, w, grad_out, stride, pad, groups):
     xg = xp.reshape(n, groups, cpg, *xp.shape[2:])
     wg = w.reshape(groups, opg, cpg, k, k)
     go = grad_out.reshape(n, groups, opg, oh, ow)
-    # The einsum rounds as the per-group one did only where it sees the same
-    # strides: grad_out's output channels outside its pixels (a copy in
-    # (group, channel, pixel) order) and, on a 1x1 map, grad_out's own (a
-    # view), so reshape copies only where it must. The padded map is laid
-    # out (group, channel, n, h, w), as the einsum's output is.
-    go_cols = go.transpose(1, 2, 0, 3, 4).reshape(groups, opg, n * oh * ow)
-    gx_tap = np.empty((groups, cpg, n, oh, ow))
-    one_tap = k == 1 and stride == 1   # the one tap reads every pixel
-    gxg = gx_tap if one_tap else np.zeros((groups, cpg, n, *xp.shape[2:]))
-    for ky, kx, rows, cols in taps:
-        np.einsum("goN,goc->gcN", go_cols, wg[..., ky, kx],
-                  out=gx_tap.reshape(groups, cpg, -1))
-        if not one_tap:
-            gxg[..., rows, cols] += gx_tap
-    grad_x = np.empty(x.shape)
-    grad_x.reshape(n, groups, cpg, h, wd)[...] = gxg[
-        ..., pad:pad + h, pad:pad + wd].transpose(2, 0, 1, 3, 4)
-    del gxg, gx_tap, go_cols   # freed before the weight gradient
+    # The weights read (ky, kx, group, in, out). Copied in that order, the
+    # out-channels that grad_x sums have the smallest stride: the einsum
+    # then adds them in order into one output row at a time, not into the
+    # whole (in, pixel) block, about 3x faster. On a 1x1 output map the
+    # per-group einsum summed them in its innermost loop, in its own SIMD
+    # order, which only w's own strides reproduce: there wt stays a view
+    # (a copy fails the desk config's x (2, 4, 1, 1), w (8, 2, 1, 1)).
+    wt = wg.transpose(3, 4, 0, 2, 1)
+    if oh * ow > 1:
+        wt = np.ascontiguousarray(wt)
+    if cpg == opg == 1 < groups:
+        # depthwise, channels-last: per tap one product and one add into a
+        # zeroed padded (n, h, w, c) map, in (ky, kx) order
+        go_nhwc = np.ascontiguousarray(grad_out.transpose(0, 2, 3, 1))
+        gxp = np.zeros((n, *xp.shape[2:], cout))
+        buf = np.empty_like(go_nhwc)
+        for ky, kx, rows, cols in taps:
+            gxp[:, rows, cols] += np.multiply(go_nhwc, wt[ky, kx, :, 0, 0],
+                                              out=buf)
+        grad_x = np.ascontiguousarray(
+            gxp[:, pad:pad + h, pad:pad + wd].transpose(0, 3, 1, 2))
+        del gxp, buf, go_nhwc   # freed before the weight gradient
+    else:
+        # grad_out read (group, out-channel, pixel): a copy, but on a 1x1
+        # map a view with grad_out's own strides, which, with wt's, give
+        # the per-group einsum's SIMD order there (a copy fails the desk
+        # config's x (2, 1, 1, 1), w (4, 1, 1, 1)). The padded map is laid
+        # out (group, channel, n, h, w), as the einsum's output is.
+        go_cols = go.transpose(1, 2, 0, 3, 4).reshape(groups, opg, -1)
+        gx_tap = np.empty((groups, cpg, n, oh, ow))
+        one_tap = k == 1 and stride == 1   # the one tap reads every pixel
+        gxg = gx_tap if one_tap else np.zeros((groups, cpg, n,
+                                               *xp.shape[2:]))
+        for ky, kx, rows, cols in taps:
+            np.einsum("goN,gco->gcN", go_cols, wt[ky, kx],
+                      out=gx_tap.reshape(groups, cpg, -1))
+            if not one_tap:
+                gxg[..., rows, cols] += gx_tap
+        grad_x = np.empty(x.shape)
+        grad_x.reshape(n, groups, cpg, h, wd)[...] = gxg[
+            ..., pad:pad + h, pad:pad + wd].transpose(2, 0, 1, 3, 4)
+        del gxg, gx_tap, go_cols   # freed before the weight gradient
     gw = np.zeros_like(wg)
     # grad_w has to round as the per-group einsum("nohw,nhw->o") did, taken
     # per (in-channel, tap). numpy sums each contiguous run of that reduction
@@ -342,10 +386,13 @@ def conv2d_backward_raw(x, w, grad_out, stride, pad, groups):
     # takes the run sums and np.add.accumulate adds them in order. This
     # holds for C-ordered maps only, hence the read of x above. einsum's
     # iterator splits a run longer than its buffer in a way not modelled
-    # here, so such maps run the per-group einsum itself.
+    # here, and with one weight per tap (one group, in- and out-channel) the
+    # per-group einsum has one output element, which it sums in SIMD lanes:
+    # both run the per-group einsum itself.
     _, _, rows0, cols0 = taps[0]
     rows_join = _rows_join(go) and _rows_join(xg[:, :, 0, rows0, cols0])
-    if (oh * ow if rows_join else ow) > _EINSUM_BUFSIZE:
+    if (groups * opg * cpg == 1
+            or (oh * ow if rows_join else ow) > _EINSUM_BUFSIZE):
         runs = None
     elif opg > 1 and n > 1:
         runs = ""
@@ -663,6 +710,20 @@ class Composite:
             if isinstance(layer, BatchNorm2d):
                 yield name, layer
 
+    def _cache_holders(self):
+        """(path, holder) for every cache below that a backward reads, in
+        the order it reads them."""
+        return list(self.all_layers())[::-1]
+
+    def _check_caches(self):
+        """Raise, naming the first path, unless every cache below is there:
+        the outermost backward checks before any gradient is written, and
+        passes ``checked=True`` to the composites inside, which skip it."""
+        for path, holder in self._cache_holders():
+            if holder._cache is None:
+                raise RuntimeError(f"{path}: {type(holder).__name__}.backward"
+                                   " called without a cached forward")
+
 
 class Chain(Composite):
     """Runs its steps, (name, layer or composite) pairs, in order forward
@@ -698,16 +759,19 @@ class Chain(Composite):
             i += 1 + fold
         return x
 
-    def backward(self, grad_out):
-        # every cache is checked before the first step writes a gradient:
-        # the layers' in the order backward reads them, then each module
-        # step's own (d, f)
+    def _cache_holders(self):
+        # the layers', then each module step's own (d, f)
         modules = [(name, step) for name, step in self.steps
                    if isinstance(step, Composite) and hasattr(step, "_cache")]
-        for path, holder in list(self.all_layers())[::-1] + modules:
-            if holder._cache is None:
-                raise RuntimeError(f"{path}: {type(holder).__name__}.backward"
-                                   " called without a cached forward")
+        return super()._cache_holders() + modules
+
+    def backward(self, grad_out, checked=False):
+        """The steps' backwards in reverse, the caches checked first unless
+        ``checked`` (see ``Composite._check_caches``)."""
+        if not checked:
+            self._check_caches()
         for _, step in reversed(self.steps):
-            grad_out = step.backward(grad_out)
+            grad_out = (step.backward(grad_out, checked=True)
+                        if isinstance(step, Composite)
+                        else step.backward(grad_out))
         return grad_out

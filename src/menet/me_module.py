@@ -190,9 +190,13 @@ class MEModule(Composite):
         self._cache = (d, f) if train else None
         return self.relu_final.forward(out, train)
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, checked=False):
+        """The module's backward, its caches checked first unless
+        ``checked`` (see ``Composite._check_caches``)."""
         if self._cache is None:
             raise RuntimeError("module backward called without a cached forward")
+        if not checked:
+            self._check_caches()
         (d, f), self._cache = self._cache, None
         cfg = self.cfg
         g = self.relu_final.backward(grad_out)
@@ -201,11 +205,12 @@ class MEModule(Composite):
             g = g[:, cfg.in_channels:]
         else:
             grad_x = g.copy()
-        gc = self.project.backward(g)
+        gc = self.project.backward(g, checked=True)
         if cfg.combine_mode == "product":
             g_d, g_f = gc * f, gc * d
         else:
             g_d = g_f = gc
-        g_s = self.depthwise.backward(g_d) + self.fusion.backward(g_f)
-        grad_x += self.trunk.backward(g_s)
+        g_s = (self.depthwise.backward(g_d, checked=True)
+               + self.fusion.backward(g_f, checked=True))
+        grad_x += self.trunk.backward(g_s, checked=True)
         return grad_x
