@@ -157,7 +157,7 @@ def cmd_gradcheck(args):
 def cmd_make_synth(args):
     data = training.make_synthetic_dataset(
         count=args.count, size=args.size, classes=args.classes,
-        seed=args.seed if args.seed is not None else 0)
+        seed=args.seed)
     path = serialization.save_dataset(data, args.out)
     print(f"wrote {path} ({len(data)} samples, {data.class_count} classes)")
     return 0

@@ -35,9 +35,9 @@ al. 2018, arXiv 1712.05877, section 3): scaled weights, then a per-channel
 shift. The test suite holds both within 1e-12 of the reference and of the
 unfolded pair, relative to the largest output, on every conv of the
 reference models. A batch norm run on its own in eval is one affine pass
-with the same scale and shift; it keeps its input, since its gradient with
-the statistics held constant is the one eval gradient that differs from
-the train one.
+with the same scale and shift; it keeps its normalized input, since its
+gradient with the statistics held constant is the one eval gradient that
+differs from the train one.
 
 A ``Composite`` (chain, module, network) lists its layers in one place, its
 ``walk``: its parameters, gradients, batch norms and cost rows follow it.
@@ -247,11 +247,11 @@ def conv2d_raw(x, w, stride, pad, groups):
     """The reference forward conv, C-ordered. The windows are copied once
     into columns (in-channel within group, ky, kx, group, n * oh * ow), the
     term order of every output, or for a depthwise conv into a channels-last
-    map, and one einsum adds their products with the weights from 0 in that
-    order: bit-identical to a loop of multiply-adds over (in-channel, ky,
-    kx) while this numpy's einsum does not fuse a multiply and an add, as
-    the backward's gradients also assume. The test suite holds it to the
-    naive loop byte for byte."""
+    map, and one einsum, or for one pixel a loop, adds their products with
+    the weights from 0 in that order: bit-identical to a loop of
+    multiply-adds over (in-channel, ky, kx) while this numpy's einsum does
+    not fuse a multiply and an add, as the backward's gradients also
+    assume. The test suite holds it to the naive loop byte for byte."""
     n, _, h, wd = x.shape
     cout, cpg, k, _ = w.shape
     opg = cout // groups
@@ -276,22 +276,16 @@ def conv2d_raw(x, w, stride, pad, groups):
     cols = np.ascontiguousarray(win.transpose(2, 3, 4, 1, 0, 5, 6),
                                 dtype=float).reshape(terms, groups, m)
     wt = w.reshape(groups, opg, terms).transpose(2, 0, 1)
-    # einsum adds each output's terms from 0 in order only while its
-    # innermost loop runs over outputs; with several pixels it runs over
-    # them, contiguous in cols and in the output, and wt stays a view (a
-    # contiguous copy is as exact but sweeps the output once per term)
-    if groups * opg * m == 1:
-        # one output element: einsum would sum the lone term axis in SIMD
-        # lanes, so the rounded products are added one by one
-        acc = 0.0
-        for a, b in zip(cols.ravel().tolist(), wt.ravel().tolist()):
-            acc += a * b
-        return np.full((1, 1, 1, 1), acc)
-    if m == 1:
-        # one pixel: as a view, wt's terms (its smallest stride) would run
-        # innermost; laid out (term, group, out) the output channels do
-        wt = np.ascontiguousarray(wt)
-    sums = np.einsum("tgm,tgo->gom", cols, wt)
+    if m > 1:
+        # einsum's innermost loop runs over the outputs, contiguous in cols
+        # and in the output, so it adds each output's terms from 0 in order
+        sums = np.einsum("tgm,tgo->gom", cols, wt)
+    else:
+        # one pixel, where einsum would sum the terms in SIMD lanes: they
+        # are multiplied and added one by one
+        sums = np.zeros((groups, opg, 1))
+        for t in range(terms):
+            sums += wt[t, :, :, None] * cols[t, :, None]
     # C order: batch norm's reductions, and so its bits, follow the layout
     out = np.empty((n, cout, oh, ow))
     out.reshape(n, groups, opg, oh * ow)[...] = sums.reshape(
@@ -460,9 +454,11 @@ class BatchNorm2d(Layer):
                         out=out)
             out += self.params["beta"][None, :, None, None]
             return out
-        # eval: one affine pass; backward rebuilds xhat from the input
-        _, scale, shift = self.eval_affine()
-        self._cache = x
+        # eval: one affine pass; the statistics are constants
+        inv_std, scale, shift = self.eval_affine()
+        xhat = (x - self.running_mean[None, :, None, None]) \
+            * inv_std[None, :, None, None]
+        self._cache = (xhat, inv_std, None)
         out = x * scale[None, :, None, None]
         out += shift[None, :, None, None]
         return out
@@ -476,21 +472,13 @@ class BatchNorm2d(Layer):
         return inv_std, scale, self.params["beta"] - self.running_mean * scale
 
     def backward(self, grad_out):
-        cache = self._take_cache()
-        if isinstance(cache, tuple):
-            xhat, inv_std, m = cache
-        else:
-            # eval: the cache is the input, and the statistics are constants
-            inv_std, scale, _ = self.eval_affine()
-            xhat = (cache - self.running_mean[None, :, None, None]) \
-                * inv_std[None, :, None, None]
-            m = None
+        xhat, inv_std, m = self._take_cache()
         gamma = self.params["gamma"]
         prod = grad_out * xhat
         self.grads["gamma"] += prod.sum(axis=(0, 2, 3))
         self.grads["beta"] += grad_out.sum(axis=(0, 2, 3))
         if m is None:
-            return grad_out * scale[None, :, None, None]
+            return grad_out * (gamma * inv_std)[None, :, None, None]
         # (inv_std / m) * (m * g - sum_g - xhat * sum_gx), g = grad_out *
         # gamma, in the same operations in two buffers
         g = grad_out * gamma[None, :, None, None]

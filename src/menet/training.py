@@ -41,6 +41,8 @@ def cross_entropy(logits, labels):
     n, k = logits.shape
     if labels.shape != (n,):
         raise ValueError(f"labels shape {labels.shape} != ({n},)")
+    if labels.dtype == bool:
+        raise ValueError("labels must be integers, got bools")
     if labels.dtype.kind not in "iu":
         # no cast truncates: a non-finite or fractional label is named
         values = labels.astype(float)
@@ -153,6 +155,8 @@ class Dataset:
         self.class_count = int(self.class_count)  # JSON takes no numpy int
         images = np.asarray(self.images)
         labels = np.asarray(self.labels)
+        if labels.dtype == bool:
+            raise ValueError("labels must be integers, got bools")
         if images.ndim != 4 or labels.shape != (len(images),):
             raise ValueError("images must be (count, c, h, w) with matching labels")
         if len(images) == 0:
@@ -217,10 +221,7 @@ def train_loop(net: Network, data: Dataset, sched: Schedule, opt: SGD,
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     shape = data.images.shape[1:]
-    if shape[0] != net.in_channels:
-        raise ValueError(
-            f"dataset has {shape[0]} channels, network expects "
-            f"{net.in_channels}")
+    _check_fits(net, data)
     _check_smallest_batch(net, shape, len(data), batch_size)
     y_all = data.labels.astype(int)
     rng = np.random.default_rng(seed)
@@ -255,6 +256,18 @@ def train_loop(net: Network, data: Dataset, sched: Schedule, opt: SGD,
     return history
 
 
+def _check_fits(net, data):
+    """Reject, before any forward, a dataset whose images the network does
+    not take or whose labels it cannot output."""
+    channels = data.images.shape[1]
+    if channels != net.in_channels:
+        raise ValueError(f"dataset has {channels} channels, network expects "
+                         f"{net.in_channels}")
+    if data.class_count > net.num_classes:
+        raise ValueError(f"dataset has {data.class_count} classes, network "
+                         f"outputs {net.num_classes}")
+
+
 def _check_smallest_batch(net, shape, count, batch_size):
     """Reject, before any step, a split into batches whose smallest batch
     leaves some batch norm fewer than 2 values per channel."""
@@ -270,6 +283,7 @@ def _check_smallest_batch(net, shape, count, batch_size):
 
 def evaluate(net: Network, data: Dataset):
     """Eval-mode accuracy (running BN statistics), 64 samples at a time."""
+    _check_fits(net, data)
     y_all = data.labels.astype(int)
     correct = 0
     for start in range(0, len(data), 64):

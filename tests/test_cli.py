@@ -367,6 +367,31 @@ class TestTrainEvalRoundtrip:
         assert "'stage9.0.pw1.weight' not in network" in err
         assert "accuracy" not in out
 
+    def test_more_classes_than_outputs_is_one_error_line(self, capsys,
+                                                         tmp_path):
+        # two-class weights scored a three-class set as accuracy 0.3333
+        pairs, triples = tmp_path / "pairs", tmp_path / "triples"
+        weights = tmp_path / "weights"
+        run(capsys, "make-synth", "--out", str(pairs), "--count", "8")
+        run(capsys, "make-synth", "--out", str(triples), "--count", "9",
+            "--classes", "3")
+        code, _, _ = run(capsys, "train", *DESK_FLAGS, "--dataset",
+                         str(pairs), "--epochs", "1", "--batch-size", "8",
+                         "--weights-out", str(weights))
+        assert code == 0
+        code, out, err = run(capsys, "eval", *DESK_FLAGS, "--num-classes",
+                             "2", "--dataset", str(triples), "--weights",
+                             str(weights))
+        assert_one_error_line(code, err)
+        assert "dataset has 3 classes, network outputs 2" in err
+        assert "accuracy" not in out
+        code, out, err = run(capsys, "train", *DESK_FLAGS, "--num-classes",
+                             "2", "--dataset", str(triples), "--epochs", "1",
+                             "--batch-size", "9")
+        assert_one_error_line(code, err)
+        assert "dataset has 3 classes, network outputs 2" in err
+        assert out == ""
+
     def test_make_synth_empty_is_one_error_line(self, capsys, tmp_path):
         code, out, err = run(capsys, "make-synth", "--out",
                              str(tmp_path / "synth"), "--count", "0")

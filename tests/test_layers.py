@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -164,25 +165,35 @@ def gradcheck_tiny_modules():
             for mode in ("product", "addition") for cin in (8, 4)]
 
 
-def conv_configs(source, size=32):
-    """Distinct (cin, cout, k, stride, groups, h, w) of every Conv2d the
-    source's ``walk`` yields; reference models at ``size`` px,
-    gradcheck-tiny modules at 5 px."""
+def source_model(source, size=32):
+    """The network of a "<notation>/g<groups>" source at ``size`` px and 10
+    classes, or of the desk config."""
+    if source == "desk":
+        return build_menet(desk_config())
+    notation, groups = source.split("/g")
+    return build_menet(MENetConfig.from_notation(
+        notation, groups=int(groups), num_classes=10, input_size=size))
+
+
+def source_walk(source, size=32):
+    """(path, layer, input shape) of every layer the source's ``walk``
+    yields; reference models at ``size`` px, gradcheck-tiny modules at 5
+    px, their paths led by the module's index."""
     if source == "gradcheck-tiny":
-        walks = [module.walk((module.cfg.in_channels, 5, 5))
-                 for module in gradcheck_tiny_modules()]
-    else:
-        if source == "desk":
-            cfg = desk_config()
-        else:
-            notation, groups = source.split("/g")
-            cfg = MENetConfig.from_notation(notation, groups=int(groups),
-                                            num_classes=10,
-                                            input_size=size)
-        walks = [build_menet(cfg).walk((3, cfg.input_size, cfg.input_size))]
+        return [(f"{i}.{path}", layer, shape)
+                for i, module in enumerate(gradcheck_tiny_modules())
+                for path, layer, shape in module.walk(
+                    (module.cfg.in_channels, 5, 5))]
+    net = source_model(source, size)
+    return list(net.walk((net.in_channels, net.input_size, net.input_size)))
+
+
+def conv_configs(source, size=32):
+    """Distinct (cin, cout, k, stride, groups, h, w) of every Conv2d in
+    ``source_walk``."""
     return sorted({(layer.in_channels, layer.out_channels, layer.kernel,
                     layer.stride, layer.groups, h, w)
-                   for walk in walks for _, layer, (_, h, w) in walk
+                   for _, layer, (_, h, w) in source_walk(source, size)
                    if isinstance(layer, Conv2d)})
 
 
@@ -345,6 +356,29 @@ class TestConv2d:
                               naive_conv(x, w, 1, 0, 1))
             assert_matches_per_group(x, w, rng.normal(size=(1, 1, 1, 1)), 1,
                                      0, 1)
+
+    @pytest.mark.parametrize("zeros", [False, True],
+                             ids=["normal", "signed-zeros"])
+    def test_one_pixel_classes_bit_identical(self, zeros):
+        # every one-pixel class: groups, in- and out-channels per group each
+        # in 1-3, both kernels and strides; batch 1 takes the in-order loop,
+        # batch 2 the einsum over two outputs. Mostly +-0.0 entries catch a
+        # kernel that writes a product where the references add it to +0.0
+        rng = np.random.default_rng(24)
+        for groups, cpg, opg, k, stride, batch in itertools.product(
+                range(1, 4), range(1, 4), range(1, 4), (1, 3), (1, 2), (1, 2)):
+            x, w, _, pad = random_conv_case(rng, batch, groups * cpg,
+                                            groups * opg, k, stride, groups,
+                                            1, 1)
+            if zeros:
+                x, w = (np.where(rng.random(a.shape) < 0.8,
+                                 rng.choice([-0.0, 0.0], a.shape), a)
+                        for a in (x, w))
+            case = f"x{x.shape} w{w.shape} stride {stride} groups {groups}"
+            out = conv2d_raw(x, w, stride, pad, groups)
+            assert out.shape == (batch, groups * opg, 1, 1), case
+            for ref in (naive_conv, per_group_conv):
+                assert same_bytes(out, ref(x, w, stride, pad, groups)), case
 
     def test_576_term_sums_add_in_order(self):
         # 64 input channels under a 3x3 kernel: each output's running sum
@@ -653,6 +687,22 @@ def frozen_bn_train(x, gamma, beta, running_mean, running_var, grad_out,
     return out, running_mean, running_var, grad_x, grad_gamma, grad_beta
 
 
+def frozen_bn_eval(x, gamma, beta, running_mean, running_var, grad_out,
+                   epsilon=1e-5):
+    """The eval-mode batch norm forward and backward, the statistics held
+    constant, as written out: output, grad_x, and grad_gamma and grad_beta
+    added into zeros, as a first backward does."""
+    inv_std = 1.0 / np.sqrt(running_var + epsilon)
+    scale = gamma * inv_std
+    shift = beta - running_mean * scale
+    out = x * scale[None, :, None, None] + shift[None, :, None, None]
+    xhat = ((x - running_mean[None, :, None, None])
+            * inv_std[None, :, None, None])
+    grad_gamma = 0.0 + (grad_out * xhat).sum(axis=(0, 2, 3))
+    grad_beta = 0.0 + grad_out.sum(axis=(0, 2, 3))
+    return out, grad_out * scale[None, :, None, None], grad_gamma, grad_beta
+
+
 def bn_inputs(layout, rng):
     """A (batch, 3, 5, 5) input far from zero mean, so every summation
     order rounds differently, laid out as ``layout`` says."""
@@ -693,6 +743,36 @@ class TestBatchNorm:
                    bn.grads["gamma"], bn.grads["beta"])
             for a, b in zip(got, ref):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("zeros", [False, True],
+                             ids=["far-statistics", "signed-zeros"])
+    def test_eval_mode_bit_identical_to_frozen_form(self, zeros):
+        # running statistics far from (0, 1), so every rounding shows; the
+        # signed-zeros case adds a -0.0 gamma, a zero running mean and
+        # mostly +-0.0 inputs and gradients, and an all -0.0 channel
+        rng = np.random.default_rng(23)
+        bn = BatchNorm2d(3)
+        bn.params["gamma"][...] = rng.normal(size=3) * 5.0
+        bn.params["beta"][...] = rng.normal(size=3)
+        bn.running_mean = 1e3 + rng.normal(size=3) * 100.0
+        bn.running_var = 10.0 ** rng.uniform(-4, 4, size=3)
+        x = bn_inputs("batch4", rng)
+        grad_out = rng.normal(size=x.shape)
+        if zeros:
+            bn.params["gamma"][0] = -0.0
+            bn.running_mean[2] = 0.0
+            x, grad_out = (np.where(rng.random(a.shape) < 0.8,
+                                    rng.choice([-0.0, 0.0], a.shape), a)
+                           for a in (x, grad_out))
+            grad_out[:, 1] = -0.0
+        ref = frozen_bn_eval(x, bn.params["gamma"], bn.params["beta"],
+                             bn.running_mean, bn.running_var, grad_out)
+        out = bn.forward(x, train=False)
+        got = (out, bn.backward(grad_out), bn.grads["gamma"],
+               bn.grads["beta"])
+        for name, a, b in zip(("out", "grad_x", "grad_gamma", "grad_beta"),
+                              got, ref):
+            assert same_bytes(a, b), name
 
     def test_train_mode_normalizes(self):
         bn = BatchNorm2d(3)
@@ -1232,15 +1312,20 @@ def cache_holders(unit):
                          ids=[name for name, _, _ in UNIT_CASES])
 def test_eval_forward_leaves_no_backward_state(name, make_unit, shape):
     # a backward pairs with the last forward, and an eval one leaves it
-    # nothing but a lone batch norm's input: so a train forward's caches do
-    # not survive an eval forward, and a backward after it raises before
-    # any gradient array appears
+    # nothing but a lone batch norm's normalized input: so a train forward's
+    # caches do not survive an eval forward, and a backward after it raises
+    # before any gradient array appears
     unit = make_unit()
     x = np.random.default_rng(5).normal(size=shape)
     unit.forward(x, train=True)
     out = unit.forward(x, train=False)
     if isinstance(unit, BatchNorm2d):
-        assert unit._cache is x   # not the train forward's tuple
+        # not the train forward's tuple: the statistics are constants
+        xhat, inv_std, m = unit._cache
+        assert same_bytes(inv_std, unit.eval_affine()[0])
+        assert same_bytes(xhat, (x - unit.running_mean[None, :, None, None])
+                          * inv_std[None, :, None, None])
+        assert m is None
         return
     holders = cache_holders(unit)
     for path, holder in holders:
@@ -1316,3 +1401,46 @@ def test_module_backward_checks_every_cache_before_any_step():
                        match="dw: Conv2d.backward called without"):
         module.backward(np.ones_like(out))
     assert not any(layer.grads for _, layer in module.all_layers())
+
+
+# (source, batch) of every conv the benchmark's workloads train: train-32's
+# model and the other reference models at 32 px and batch 16, the
+# gradcheck-tiny modules at batch 1, and the README's desk run at batch 16
+WORKLOAD_SOURCES = [("228-MENet-12x1/g3", 16), ("256-MENet-12x1/g4", 16),
+                    ("352-MENet-12x1/g8", 16), ("gradcheck-tiny", 1),
+                    ("desk", 16)]
+
+
+@pytest.mark.parametrize("source,batch", WORKLOAD_SOURCES)
+def test_workload_convs_have_several_output_pixels(source, batch):
+    # conv2d_raw adds a one-pixel output's terms in a Python loop: exact,
+    # but slow, and kept off every workload
+    for path, layer, shape in source_walk(source):
+        if isinstance(layer, Conv2d):
+            _, oh, ow = layer.out_shape(shape)
+            assert batch * oh * ow > 1, f"{source} {path}: {shape}"
+
+
+@pytest.mark.parametrize("source", [
+    "228-MENet-12x1/g3", "256-MENet-12x1/g4", "352-MENet-12x1/g8",
+])
+def test_reference_eval_forward_runs_no_lone_batch_norm(source, monkeypatch):
+    # a lone eval batch norm computes its normalized input for a backward
+    # no workload runs, and an eval conv never runs the reference kernel:
+    # every batch norm of a reference model is folded into its conv
+    net = source_model(source)
+    paths = {id(layer): path for path, layer in net.all_layers()}
+    called = []
+    forward = BatchNorm2d.forward
+
+    def recording(self, *args, **kwargs):
+        called.append(paths[id(self)])
+        return forward(self, *args, **kwargs)
+
+    def reference(*args):
+        raise AssertionError("eval forward ran conv2d_raw")
+
+    monkeypatch.setattr(BatchNorm2d, "forward", recording)
+    monkeypatch.setattr(layers, "conv2d_raw", reference)
+    net.forward(np.random.default_rng(0).normal(size=(1, 3, 32, 32)))
+    assert called == []

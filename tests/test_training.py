@@ -90,6 +90,12 @@ class TestCrossEntropy:
                            match=f"labels must be integers, {named}"):
             cross_entropy(np.zeros((2, 3)), labels)
 
+    def test_bool_labels_rejected(self):
+        # a bool array would index the rows as 1 and 0
+        with pytest.raises(ValueError, match="labels must be integers, got "
+                                             "bools"):
+            cross_entropy(np.zeros((2, 3)), np.array([True, False]))
+
     def test_integral_labels_of_any_dtype_accepted(self):
         logits = np.random.default_rng(2).normal(size=(2, 3))
         want = cross_entropy(logits, np.array([2, 0]))
@@ -271,6 +277,12 @@ class TestSyntheticData:
         with pytest.raises(ValueError, match="class_count must be an integer"):
             Dataset(np.zeros((2, 1, 2, 2)), [0, 1], classes)
 
+    def test_bool_labels_rejected(self):
+        # the u8 cast would store them as 1 and 0
+        with pytest.raises(ValueError, match="labels must be integers, got "
+                                             "bools"):
+            Dataset(np.zeros((2, 1, 2, 2)), np.array([True, False]), 2)
+
     def test_labels_checked_before_u8_cast(self):
         with pytest.raises(ValueError, match=r"\[0, 2\)"):
             Dataset(np.zeros((2, 1, 2, 2)), [0, 256], 2)
@@ -364,6 +376,30 @@ class TestTrainLoop:
         sched = Schedule(total_epochs=30)
         with pytest.raises(ValueError):
             train_loop(net, data, sched, SGD(), epochs=1)
+
+    @pytest.mark.parametrize("run", ["train", "evaluate"])
+    def test_more_classes_than_outputs_rejected_before_any_forward(
+            self, monkeypatch, run):
+        # a 2-class network scored 3-class labels as misses, and train_loop
+        # stopped only at the first step's loss
+        net = build_menet(tiny_config(), seed=0)
+        data = make_synthetic_dataset(count=8, size=8, classes=3, seed=0)
+
+        def forward(*args, **kwargs):
+            raise AssertionError("forward ran")
+        monkeypatch.setattr(net, "forward", forward)
+        with pytest.raises(ValueError, match="dataset has 3 classes, "
+                                             "network outputs 2"):
+            if run == "train":
+                train_loop(net, data, Schedule(total_epochs=30), SGD(),
+                           epochs=1, batch_size=8)
+            else:
+                evaluate(net, data)
+
+    def test_fewer_classes_than_outputs_accepted(self):
+        net = build_menet(tiny_config(num_classes=3), seed=0)
+        data = make_synthetic_dataset(count=8, size=8, classes=2, seed=0)
+        assert 0.0 <= evaluate(net, data) <= 1.0
 
     def test_last_batch_too_small_for_batch_norm_rejected_up_front(self):
         # the tiny net's last batch norms see 1x1 maps, so a last batch of
