@@ -8,6 +8,8 @@ stage. Bottleneck width is a quarter of the module output width and the
 fusion width of stage i is round(alpha^(i-2) * k), floored at 1.
 """
 
+import math
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -16,6 +18,7 @@ import numpy as np
 from .layers import BatchNorm2d, Conv2d, GlobalAvgPool, Linear, MaxPool3x3s2, ReLU
 from .me_module import MEModule, MEModuleConfig
 from .network import Network
+from .tensor import check_count
 
 NOTATION_RE = re.compile(r"^(\d+)-MENet-(\d+)[x×](\d+(?:\.\d+)?)$")
 
@@ -76,17 +79,14 @@ class MENetConfig:
     def stage_width(self, stage_index):
         return self.residual_width * (2 ** stage_index)
 
-    def stage_fusion_width(self, stage_index):
-        return fusion_width_at_stage(self.fusion_width, self.expansion_factor,
-                                     stage_index)
-
     def module_configs(self):
         """Yield (stage_number, index_in_stage, MEModuleConfig) for every
         module, validating each."""
         in_ch = self.stem_channels
         for si, reps in enumerate(self.stage_repeats):
             out_ch = self.stage_width(si)
-            fusion = self.stage_fusion_width(si)
+            fusion = fusion_width_at_stage(self.fusion_width,
+                                           self.expansion_factor, si)
             for r in range(reps):
                 downsample = r == 0
                 # the very first module's pointwise conv sees the narrow stem
@@ -111,12 +111,18 @@ class MENetConfig:
 
     def validate(self):
         for name, low in (("residual_width", 4), ("fusion_width", 1),
-                          ("expansion_factor", 1), ("num_classes", 2),
+                          ("groups", 1), ("num_classes", 2),
                           ("input_size", 1), ("stem_channels", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}")
-        if min(self.stage_repeats, default=0) < 1:
-            raise ValueError("every stage_repeats entry must be >= 1")
+            check_count(name, getattr(self, name), low)
+        alpha = self.expansion_factor
+        if type(alpha) is bool or not (isinstance(alpha, numbers.Real)
+                                       and 1 <= alpha < math.inf):
+            raise ValueError("expansion_factor must be >= 1 and finite, "
+                             f"got {alpha!r}")
+        if not self.stage_repeats:
+            raise ValueError("stage_repeats must list at least one stage")
+        for repeats in self.stage_repeats:
+            check_count("every stage_repeats entry", repeats)
         for _ in self.module_configs():
             pass
         return self

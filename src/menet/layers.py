@@ -28,16 +28,16 @@ Train-mode batch norm runs numpy's mean/var reductions without their
 wrappers and writes over its own temporaries, byte for byte as
 ``x.mean``/``x.var``.
 
-The eval forward is not bit-identical to the reference. Its convolutions,
-depthwise included, run ``conv2d_gemm``, a BLAS matmul that sums in its own
-order, and ``Chain`` folds each batch norm into the conv before it (Jacob et
-al. 2018, arXiv 1712.05877, section 3): scaled weights, then a per-channel
-shift. The test suite holds both within 1e-12 of the reference and of the
-unfolded pair, relative to the largest output, on every conv of the
-reference models. A batch norm run on its own in eval is one affine pass
-with the same scale and shift; it keeps its normalized input, since its
-gradient with the statistics held constant is the one eval gradient that
-differs from the train one.
+The eval forward is not bit-identical to the reference. Depthwise convs
+run the reference kernel there too, the others ``conv2d_gemm``, a BLAS
+matmul that sums in its own order, and ``Chain`` folds each batch norm
+into the conv before it (Jacob et al. 2018, arXiv 1712.05877, section 3):
+scaled weights, then a per-channel shift. The test suite holds both within
+1e-12 of the reference and of the unfolded pair, relative to the largest
+output, on every conv of the reference models. A batch norm run on its own
+in eval is one affine pass with the same scale and shift; it keeps its
+normalized input, since its gradient with the statistics held constant is
+the one eval gradient that differs from the train one.
 
 A ``Composite`` (chain, module, network) lists its layers in one place, its
 ``walk``: its parameters, gradients, batch norms and cost rows follow it.
@@ -88,10 +88,6 @@ class Layer:
 
     def zero_grad(self):
         self.grads.clear()
-
-    def _register(self, name, value):
-        # no gradient: it appears at the first backward, zero_grad drops it
-        self.params[name] = value
 
     def _take_cache(self):
         """The last forward's cache, cleared: each backward reads it once."""
@@ -163,13 +159,14 @@ class Conv2d(Layer):
             # fan-out initialization: var = 2 / (k^2 * out_channels)
             std = np.sqrt(2.0 / (kernel * kernel * out_channels))
             w = rng.normal(0.0, std, size=wshape)
-        self._register("weight", w)
+        self.params["weight"] = w
 
     @property
     def depthwise(self):
-        """One input channel in each of several groups under a 3x3 kernel;
+        """One input and one output channel per group, several groups, 3x3;
         a one-channel 3x3 conv (a width-1 ``evo.conv_e``) counts as dense."""
-        return self.kernel == 3 and self.in_channels == self.groups > 1
+        return (self.kernel == 3
+                and self.in_channels == self.out_channels == self.groups > 1)
 
     def out_shape(self, shape):
         _, h, w = shape
@@ -193,19 +190,16 @@ class Conv2d(Layer):
             )
         self._cache = x if train else None
         w = self.params["weight"]
-        # training runs the bit-identical reference kernel; moving the
-        # pointwise and dense convs onto conv2d_gemm is ROADMAP item 2
-        if train:
-            return conv2d_raw(x, w, self.stride, self.pad, self.groups)
-        if bn is None:
-            return conv2d_gemm(x, w, self.stride, self.pad, self.groups)
+        conv = conv2d_raw if train or self.depthwise else conv2d_gemm
+        if train or bn is None:
+            return conv(x, w, self.stride, self.pad, self.groups)
         if bn.channels != self.out_channels:
             raise ShapeError(f"expected {bn.channels} channels, "
                              f"got {self.out_channels}")
         _, scale, shift = bn.eval_affine()
         bn._cache = None
-        out = conv2d_gemm(x, w * scale[:, None, None, None], self.stride,
-                          self.pad, self.groups)
+        out = conv(x, w * scale[:, None, None, None], self.stride, self.pad,
+                   self.groups)
         out += shift[None, :, None, None]
         return out
 
@@ -298,8 +292,9 @@ def conv2d_gemm(x, w, stride, pad, groups):
     (groups, out per group, in per group * k * k), with the input columns,
     (n, groups, in per group * k * k, oh * ow), read from ``conv2d_raw``'s
     window view: a view of a C-ordered input for an unpadded 1x1 conv at
-    stride 1, else one copy (im2col, depthwise included). BLAS sums in its
-    own order, so results differ from ``conv2d_raw`` in the last bits."""
+    stride 1, else one copy (im2col). BLAS sums in its own order, so results
+    differ from ``conv2d_raw`` in the last bits. Eval runs it for all but
+    the depthwise convs, where the channels-last einsum is faster."""
     n = x.shape[0]
     cout, cpg, k, _ = w.shape
     win = _window_view(x, k, stride, pad, groups)
@@ -419,8 +414,8 @@ class BatchNorm2d(Layer):
     def __init__(self, channels):
         super().__init__()
         self.channels = channels
-        self._register("gamma", np.ones(channels))
-        self._register("beta", np.zeros(channels))
+        self.params["gamma"] = np.ones(channels)
+        self.params["beta"] = np.zeros(channels)
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
 
@@ -632,8 +627,8 @@ class Linear(Layer):
         else:
             w = rng.normal(0.0, np.sqrt(1.0 / in_features),
                            size=(out_features, in_features))
-        self._register("weight", w)
-        self._register("bias", np.zeros(out_features))
+        self.params["weight"] = w
+        self.params["bias"] = np.zeros(out_features)
 
     def out_shape(self, shape):
         """Logits as a (k, 1, 1) map, though forward returns (n, k)."""

@@ -6,6 +6,8 @@ provide the elementwise/reshaping primitives the rest of the package uses.
 Every function is pure: inputs are never mutated.
 """
 
+import numbers
+
 import numpy as np
 
 
@@ -28,6 +30,15 @@ def check_groups(channels, groups, what="channels"):
             raise ShapeError(f"{name} must be >= 1, got {value}")
     if channels % groups:
         raise ShapeError(f"{what}={channels} not divisible by groups={groups}")
+
+
+def check_count(name, value, low=1, prefix=""):
+    """A count of steps, samples, pixels or channels: an integer, not a
+    bool, and at least ``low``, which ``prefix`` may explain."""
+    if type(value) is bool or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{prefix}{name} must be >= {low}, got {value}")
 
 
 def elementwise_combine(a, b, mode):

@@ -15,6 +15,7 @@ import numpy as np
 
 from .layers import BatchNorm2d, Composite
 from .network import Network
+from .tensor import check_count
 
 PRESETS = {
     "paper": {"batch_size": 256, "epochs": 120, "base_lr": 0.1,
@@ -68,8 +69,10 @@ def cross_entropy(logits, labels):
 # ---------------------------------------------------------------------------
 
 def _check_finite(name, value, positive):
-    """A finite number, > 0 if ``positive`` and >= 0 otherwise."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+    """A finite number, not a bool, > 0 if ``positive`` and >= 0
+    otherwise."""
+    if not (type(value) is not bool and isinstance(value, numbers.Real)
+            and math.isfinite(value)
             and (value > 0 if positive else value >= 0)):
         raise ValueError(f"{name} must be a finite number "
                          f"{'>' if positive else '>='} 0, got {value}")
@@ -83,12 +86,8 @@ class Schedule:
 
     def __post_init__(self):
         _check_finite("base_lr", self.base_lr, positive=True)
-        for name in ("step_epochs", "total_epochs"):
-            value = getattr(self, name)
-            if type(value) is bool or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+        check_count("step_epochs", self.step_epochs)
+        check_count("total_epochs", self.total_epochs)
 
     def lr_at(self, epoch):
         if not 0 <= epoch < self.total_epochs:
@@ -188,8 +187,8 @@ def make_synthetic_dataset(count=64, size=8, classes=2, seed=0):
     """Linearly separable toy set of RGB images: each class lights up its
     own vertical band, plus mild noise. Every class needs a band at least
     one pixel wide, so ``classes`` may not exceed ``size``."""
-    if count < 1:
-        raise ValueError(f"dataset is empty: count must be >= 1, got {count}")
+    check_count("count", count, prefix="dataset is empty: ")
+    check_count("size", size)
     _check_class_count(classes)
     if classes > size:
         raise ValueError(
@@ -217,9 +216,8 @@ def train_loop(net: Network, data: Dataset, sched: Schedule, opt: SGD,
     """Seed-deterministic SGD loop; returns [(epoch, lr, loss, accuracy)].
     A step whose loss is not finite, or above ``DIVERGENCE_FACTOR`` times
     the log of the logits width, raises ``ValueError`` before its update."""
-    for name, value in (("epochs", epochs), ("batch_size", batch_size)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    check_count("epochs", epochs)
+    check_count("batch_size", batch_size)
     shape = data.images.shape[1:]
     _check_fits(net, data)
     _check_smallest_batch(net, shape, len(data), batch_size)
@@ -347,14 +345,6 @@ def gradcheck_errors(unit, x, seed=0):
     else:
         bns = [unit] if isinstance(unit, BatchNorm2d) else []
     saved = [(bn.running_mean.copy(), bn.running_var.copy()) for bn in bns]
-    try:
-        return _gradcheck_errors(unit, x, seed)
-    finally:
-        for bn, (mean, var) in zip(bns, saved):
-            bn.running_mean, bn.running_var = mean, var
-
-
-def _gradcheck_errors(unit, x, seed):
     rng = np.random.default_rng(seed)
     x = np.array(x, dtype=float)
     probe = None
@@ -366,14 +356,17 @@ def _gradcheck_errors(unit, x, seed):
             probe = rng.normal(size=out.shape)
         return float((out * probe).sum())
 
-    unit.zero_grad()
-    objective()
-    grad_x = unit.backward(probe)
-    grads = unit.grads
-
-    pairs = [(grad_x, numerical_gradient(objective, x))]
-    for name, p in unit.params.items():
-        pairs.append((grads[name], numerical_gradient(objective, p)))
+    try:
+        unit.zero_grad()
+        objective()
+        grad_x = unit.backward(probe)
+        grads = unit.grads
+        pairs = [(grad_x, numerical_gradient(objective, x))]
+        for name, p in unit.params.items():
+            pairs.append((grads[name], numerical_gradient(objective, p)))
+    finally:
+        for bn, (mean, var) in zip(bns, saved):
+            bn.running_mean, bn.running_var = mean, var
     worst = max(relative_error(a, num).max() for a, num in pairs)
     diff = max(np.abs(a - num).max() for a, num in pairs)
     return float(worst), float(diff)

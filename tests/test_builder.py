@@ -96,6 +96,35 @@ class TestConfig:
                                 expansion_factor=alpha, groups=3,
                                 combine_mode=mode).validate()
 
+    @pytest.mark.parametrize("name,value,named", [
+        ("groups", True, "groups"), ("fusion_width", True, "fusion_width"),
+        ("input_size", 8.5, "input_size"),
+        ("residual_width", 8.0, "residual_width"),
+        ("stem_channels", 4.0, "stem_channels"),
+        ("num_classes", True, "num_classes"),
+        ("stage_repeats", [True, 1, 1], "every stage_repeats entry"),
+        ("stage_repeats", [1, 2.0, 1], "every stage_repeats entry")])
+    def test_counts_not_integers_named(self, name, value, named):
+        # a bool or a float counted as a width, or failed inside numpy
+        cfg = MENetConfig.from_notation("8-MENet-1x1", groups=2,
+                                        stem_channels=4)
+        setattr(cfg, name, value)
+        with pytest.raises(ValueError, match=f"{named} must be an integer"):
+            cfg.validate()
+
+    def test_empty_stage_repeats_rejected(self):
+        with pytest.raises(ValueError, match="stage_repeats"):
+            MENetConfig.from_notation("8-MENet-1x1",
+                                      stage_repeats=[]).validate()
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), True])
+    def test_expansion_factor_not_finite_named(self, alpha):
+        cfg = MENetConfig(residual_width=228, fusion_width=12,
+                          expansion_factor=alpha)
+        with pytest.raises(ValueError, match="expansion_factor must be >= 1 "
+                                             f"and finite, got {alpha!r}"):
+            cfg.validate()
+
 
 class TestBuiltNetwork:
     def test_spatial_trace_and_logits(self):

@@ -126,8 +126,10 @@ def assert_matches_per_group(x, w, grad_out, stride, pad, groups):
 
 
 def assert_gemm_agrees(x, w, stride, pad, groups):
-    """Eval forward within 1e-12 of the reference kernel, relative to the
-    largest reference output; the train forward is the reference itself."""
+    """conv2d_gemm within 1e-12 of the reference kernel, relative to the
+    largest reference output. The train forward, and the eval forward of a
+    depthwise conv, is the reference itself; any other eval forward is
+    conv2d_gemm."""
     case = f"x{x.shape} w{w.shape} stride {stride} groups {groups}"
     ref = conv2d_raw(x, w, stride, pad, groups)
     fast = conv2d_gemm(x, w, stride, pad, groups)
@@ -138,7 +140,11 @@ def assert_gemm_agrees(x, w, stride, pad, groups):
     conv = Conv2d(cpg * groups, cout, k, stride=stride, groups=groups)
     conv.params["weight"][...] = w
     assert np.array_equal(conv.forward(x, train=True), ref), case
-    assert np.array_equal(conv.forward(x, train=False), fast), case
+    out = conv.forward(x, train=False)
+    if conv.depthwise:
+        assert same_bytes(out, ref), case
+    else:
+        assert np.array_equal(out, fast), case
 
 
 def random_conv_case(rng, n, cin, cout, k, stride, groups, h, wd):
@@ -212,6 +218,8 @@ class TestConv2d:
         assert not Conv2d(1, 1, 3).depthwise
         assert not Conv2d(4, 4, 1, groups=4).depthwise
         assert not Conv2d(4, 8, 3, groups=2).depthwise
+        # a channel multiplier: two outputs per one-channel group
+        assert not Conv2d(4, 8, 3, groups=4).depthwise
 
     def test_depthwise_ones_counts_taps(self):
         conv = Conv2d(2, 2, 3, groups=2)
@@ -886,6 +894,36 @@ class TestBatchNormFold:
         for config in configs:
             assert_fold_agrees(rng, batch, *config)
 
+    @pytest.mark.parametrize("source,size", [
+        ("228-MENet-12x1/g3", 224), ("228-MENet-12x1/g3", 32),
+        ("256-MENet-12x1/g4", 32), ("352-MENet-12x1/g8", 32),
+    ])
+    def test_folded_depthwise_is_reference_kernel(self, source, size,
+                                                  monkeypatch):
+        # a folded eval depthwise conv runs conv2d_raw on the scaled
+        # weights, then adds the shift, byte for byte
+        net = source_model(source, size)
+        checked = []
+        forward = Conv2d.forward
+
+        def recording(self, x, train=False, bn=None):
+            out = forward(self, x, train, bn=bn)
+            if self.depthwise and bn is not None:
+                _, scale, shift = bn.eval_affine()
+                ref = conv2d_raw(x, self.params["weight"]
+                                 * scale[:, None, None, None],
+                                 self.stride, self.pad, self.groups)
+                assert same_bytes(out, ref + shift[None, :, None, None])
+                checked.append(self)
+            return out
+
+        monkeypatch.setattr(Conv2d, "forward", recording)
+        net.forward(np.random.default_rng(16).normal(size=(1, 3, size,
+                                                           size)))
+        depthwise = [layer for _, layer in net.all_layers()
+                     if isinstance(layer, Conv2d) and layer.depthwise]
+        assert depthwise and checked == depthwise
+
     def test_eval_network_forward_keeps_no_cache(self):
         # no backward follows an eval network forward, so each item drops
         # its caches, the folded batch norms' included, as it returns
@@ -1426,21 +1464,40 @@ def test_workload_convs_have_several_output_pixels(source, batch):
 ])
 def test_reference_eval_forward_runs_no_lone_batch_norm(source, monkeypatch):
     # a lone eval batch norm computes its normalized input for a backward
-    # no workload runs, and an eval conv never runs the reference kernel:
-    # every batch norm of a reference model is folded into its conv
+    # no workload runs: every batch norm of a reference model is folded
+    # into its conv. An eval depthwise conv runs the reference kernel, and
+    # every other eval conv conv2d_gemm
     net = source_model(source)
     paths = {id(layer): path for path, layer in net.all_layers()}
-    called = []
-    forward = BatchNorm2d.forward
+    called, convs, kernels = [], [], []
+    bn_forward, conv_forward = BatchNorm2d.forward, Conv2d.forward
 
     def recording(self, *args, **kwargs):
         called.append(paths[id(self)])
-        return forward(self, *args, **kwargs)
+        return bn_forward(self, *args, **kwargs)
 
-    def reference(*args):
-        raise AssertionError("eval forward ran conv2d_raw")
+    def conv_recording(self, *args, **kwargs):
+        convs.append(paths[id(self)])
+        return conv_forward(self, *args, **kwargs)
+
+    def spy(kernel, runs_depthwise):
+        def checked(x, w, stride, pad, groups):
+            cout, cpg, k, _ = w.shape
+            depthwise = k == 3 and cpg == 1 and cout == groups > 1
+            assert depthwise == runs_depthwise, (
+                f"{convs[-1]}: eval forward ran {kernel.__name__} on "
+                f"w{w.shape} groups {groups}")
+            kernels.append(kernel.__name__)
+            return kernel(x, w, stride, pad, groups)
+        return checked
 
     monkeypatch.setattr(BatchNorm2d, "forward", recording)
-    monkeypatch.setattr(layers, "conv2d_raw", reference)
+    monkeypatch.setattr(Conv2d, "forward", conv_recording)
+    monkeypatch.setattr(layers, "conv2d_raw", spy(conv2d_raw, True))
+    monkeypatch.setattr(layers, "conv2d_gemm", spy(conv2d_gemm, False))
     net.forward(np.random.default_rng(0).normal(size=(1, 3, 32, 32)))
     assert called == []
+    assert len(kernels) == len(convs)
+    assert kernels.count("conv2d_raw") == sum(
+        isinstance(layer, Conv2d) and layer.depthwise
+        for _, layer in net.all_layers()) > 0

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from menet.tensor import (
     ShapeError,
+    check_count,
     check_groups,
     check_nchw,
     concat_channels,
@@ -37,6 +38,25 @@ def test_check_nchw_rejects(shape, message):
 def test_check_groups_rejects(channels, groups, what, message):
     with pytest.raises(ShapeError, match=message):
         check_groups(channels, groups, what)
+
+
+@pytest.mark.parametrize("value,message", [
+    (True, "n must be an integer, got True"),
+    (2.0, "n must be an integer, got 2.0"),
+    ("2", "n must be an integer, got '2'"),
+    (0, "why: n must be >= 1, got 0"),
+])
+def test_check_count_rejects(value, message):
+    with pytest.raises(ValueError, match=message):
+        check_count("n", value, prefix="why: ")
+
+
+def test_check_count_accepts_integers_from_low():
+    for value in (1, np.int64(7), np.uint8(1)):
+        check_count("n", value)
+    check_count("n", 0, low=0)
+    with pytest.raises(ValueError, match="n must be >= 4, got 3"):
+        check_count("n", 3, low=4)
 
 
 @given(st.integers(-3, 48), st.integers(-3, 48))

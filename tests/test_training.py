@@ -128,7 +128,7 @@ class TestSchedule:
         assert Schedule(step_epochs=np.int64(2)).lr_at(2) == 0.1 * 0.1
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
-                                       float("-inf"), 0.0, -0.1])
+                                       float("-inf"), 0.0, -0.1, True])
     def test_base_lr_not_finite_and_positive_rejected(self, value):
         with pytest.raises(ValueError, match="base_lr must be a finite "
                                              f"number > 0, got {value}"):
@@ -193,7 +193,10 @@ class TestSGD:
         ("lr", float("nan"), ">"), ("lr", float("inf"), ">"),
         ("momentum", float("nan"), ">="), ("momentum", -0.5, ">="),
         ("weight_decay", float("inf"), ">="),
-        ("weight_decay", float("-inf"), ">=")])
+        ("weight_decay", float("-inf"), ">="),
+        # a bool is not a rate, though Python counts it as a number
+        ("lr", True, ">"), ("momentum", True, ">="),
+        ("weight_decay", False, ">=")])
     def test_settings_not_finite_or_in_range_rejected(self, name, value,
                                                       bound):
         with pytest.raises(ValueError, match=f"{name} must be a finite "
@@ -261,6 +264,17 @@ class TestSyntheticData:
         with pytest.raises(ValueError, match=f"dataset is empty: count must "
                                              f"be >= 1, got {count}"):
             make_synthetic_dataset(count=count)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"count": True}, "count must be an integer, got True"),
+        ({"count": 4.0}, "count must be an integer, got 4.0"),
+        ({"size": 8.0}, "size must be an integer, got 8.0"),
+        ({"size": True}, "size must be an integer, got True"),
+        ({"size": 0, "classes": 1}, "size must be >= 1, got 0")])
+    def test_count_and_size_not_counts_named(self, kwargs, message):
+        # each failed with a TypeError from numpy; size 0 named the classes
+        with pytest.raises(ValueError, match=message):
+            make_synthetic_dataset(**kwargs)
 
     def test_empty_or_mismatched_labels_rejected(self):
         with pytest.raises(ValueError, match="dataset is empty"):
@@ -400,6 +414,20 @@ class TestTrainLoop:
         net = build_menet(tiny_config(num_classes=3), seed=0)
         data = make_synthetic_dataset(count=8, size=8, classes=2, seed=0)
         assert 0.0 <= evaluate(net, data) <= 1.0
+
+    @pytest.mark.parametrize("name,value", [
+        ("epochs", True), ("epochs", 1.5), ("batch_size", True),
+        ("batch_size", 2.0)])
+    def test_epochs_and_batch_size_not_integers_named(self, name, value):
+        # epochs=True ran one epoch, and batch_size=True reported a last
+        # batch of True
+        net = build_menet(tiny_config(), seed=1)
+        data = make_synthetic_dataset(count=8, size=8, classes=2, seed=0)
+        sched = Schedule(base_lr=0.05, step_epochs=30, total_epochs=30)
+        kwargs = {"epochs": 1, "batch_size": 8, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer, "
+                                             f"got {value!r}"):
+            train_loop(net, data, sched, SGD(lr=0.05), **kwargs)
 
     def test_last_batch_too_small_for_batch_norm_rejected_up_front(self):
         # the tiny net's last batch norms see 1x1 maps, so a last batch of
