@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from menet import builder, cli, training
+from menet.layers import Conv2d
 from menet.cli import _merged_settings, build_parser, load_config, main
 
 DESK_FLAGS = ["--model", "8-MENet-1x1", "--groups", "2",
@@ -180,6 +182,21 @@ class TestGradcheck:
         name, value = lines[1].split()
         assert name == "module_max_abs_diff" and 0 < float(value) < 1e-7
         assert lines[2] == "pass"
+
+    def test_nan_weight_gradients_fail(self, capsys, monkeypatch):
+        # the input gradient stays finite; every conv weight gradient is NaN
+        backward = Conv2d.backward
+
+        def nan_weights(self, grad_out):
+            grad_x = backward(self, grad_out)
+            self.grads["weight"][...] = np.nan
+            return grad_x
+
+        monkeypatch.setattr(Conv2d, "backward", nan_weights)
+        code, out, _ = run(capsys, "gradcheck", "--seed", "0")
+        assert code == 1
+        assert out.splitlines() == ["module_max_rel_err nan",
+                                    "module_max_abs_diff nan", "FAIL"]
 
 
 class TestConfigFile:

@@ -1,12 +1,19 @@
 """Analytic vs central-finite-difference gradients for every layer kind and
 for assembled modules."""
 
+import collections
+import functools
+import math
+
 import numpy as np
 import pytest
 
+from menet import training
+from menet.builder import MENetConfig, build_menet
 from menet.layers import (
     AvgPool3x3s2,
     BatchNorm2d,
+    Chain,
     ChannelShuffle,
     Conv2d,
     GlobalAvgPool,
@@ -24,12 +31,16 @@ LAYER_TOL = 1e-5
 MODULE_TOL = 1e-4
 
 
-def eval_mode_bn(channels):
-    """A batch norm whose forward always runs in eval mode, so gradcheck
-    (which runs in train mode) checks the running-statistics path."""
-    bn = BatchNorm2d(channels)
+def run_in_eval(bn):
+    """``bn`` with its forward always run in eval mode, through an instance
+    attribute, so gradcheck (which runs in train mode) checks the
+    running-statistics path."""
     bn.forward = lambda x, train=False: BatchNorm2d.forward(bn, x, False)
     return bn
+
+
+def eval_mode_bn(channels):
+    return run_in_eval(BatchNorm2d(channels))
 
 
 def layer_cases(seed):
@@ -172,3 +183,260 @@ def test_gradcheck_restores_running_statistics(kind):
     for (mean, var), (mean0, var0) in zip(running_statistics(bns), before):
         assert np.array_equal(mean, mean0) and np.array_equal(var, var0)
     assert np.array_equal(unit.forward(x, train=False), eval_before)
+
+
+# ---------------------------------------------------------------------------
+# output reuse while a parameter is nudged
+# ---------------------------------------------------------------------------
+
+def plain_numeric_gradients(unit, x, seed=0):
+    """The numeric gradients of ``gradcheck_errors`` (input first, then
+    every parameter), each objective re-running every layer: a frozen copy
+    of the loop from before gradcheck reused any layer output."""
+    rng = np.random.default_rng(seed)
+    x = np.array(x, dtype=float)
+    probe = None
+
+    def objective():
+        nonlocal probe
+        out = unit.forward(x, train=True)
+        if probe is None:
+            probe = rng.normal(size=out.shape)
+        return float((out * probe).sum())
+
+    unit.zero_grad()
+    objective()
+    unit.backward(probe)
+    result = []
+    for arr in [x, *unit.params.values()]:
+        grad = np.zeros_like(arr, dtype=float)
+        for i in np.ndindex(arr.shape):
+            orig = arr[i]
+            h = 1e-6 * (1.0 + abs(orig))
+            arr[i] = orig + h
+            fp = objective()
+            arr[i] = orig - h
+            fm = objective()
+            arr[i] = orig
+            grad[i] = (fp - fm) / (2 * h)
+        result.append(grad)
+    return result
+
+
+def gradcheck_numeric_gradients(monkeypatch, unit, x, seed=0):
+    """The numeric gradients ``gradcheck_errors`` builds, in its order."""
+    made = []
+
+    def recording(f, arr):
+        made.append(numerical_gradient(f, arr))
+        return made[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(training, "numerical_gradient", recording)
+        gradcheck_errors(unit, x, seed)
+    return made
+
+
+def tiny_variant(i, seed=0):
+    """(network, input) of the i-th benchmark ``gradcheck-tiny`` variant:
+    one module alone in a Network, 5x5, batch 1."""
+    mode, down = [(m, d) for m in ("product", "addition")
+                  for d in (False, True)][i]
+    rng = np.random.default_rng([seed, i])
+    cfg = module_config(mode, down)
+    net = Network([("m", MEModule(cfg, rng=rng))], cfg.in_channels, 5,
+                  cfg.out_channels)
+    return net, rng.normal(size=(1, cfg.in_channels, 5, 5))
+
+
+def desk_network():
+    """A whole network, stem pool and head included, at 8 px, batch 2."""
+    cfg = MENetConfig(residual_width=8, fusion_width=1, groups=2,
+                      stage_repeats=[1, 1, 1], stem_channels=4,
+                      num_classes=2, input_size=8, stem_pool=True)
+    net = build_menet(cfg, seed=0)
+    return net, np.random.default_rng(0).normal(size=(2, 3, 8, 8))
+
+
+def module_with_eval_bn():
+    """A module whose depthwise batch norm runs in eval, on running
+    statistics far from (0, 1)."""
+    rng = np.random.default_rng(4)
+    module = MEModule(module_config("product", False), rng=rng)
+    bn = run_in_eval(module.bn_dw)
+    bn.running_mean = rng.normal(0.0, 2.0, size=bn.channels)
+    bn.running_var = rng.uniform(0.2, 4.0, size=bn.channels)
+    return module, rng.normal(size=(1, 8, 5, 5))
+
+
+UNITS = {**{f"tiny-{i}": functools.partial(tiny_variant, i)
+            for i in range(4)},
+         "desk-network": desk_network, "eval-bn-module": module_with_eval_bn}
+
+
+@pytest.mark.parametrize("case", list(UNITS))
+def test_reuse_gives_plain_numeric_gradients(monkeypatch, case):
+    # two units built alike: one for each loop
+    expected = plain_numeric_gradients(*UNITS[case]())
+    got = gradcheck_numeric_gradients(monkeypatch, *UNITS[case]())
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.tobytes() == b.tobytes()
+
+
+def counting_forwards(monkeypatch, layers):
+    """Count real forward runs per layer with class-level spies, which
+    every reuse wrapper sits above."""
+    runs = collections.Counter()
+    for cls in {type(layer) for layer in layers}:
+        def spy(self, *args, forward=cls.forward, **kwargs):
+            runs[id(self)] += 1
+            return forward(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "forward", spy)
+    return runs
+
+
+def test_only_layers_after_the_owner_run_again(monkeypatch):
+    module = MEModule(module_config("product", False),
+                      rng=np.random.default_rng(0))
+    x = np.random.default_rng(1).normal(size=(1, 8, 5, 5))
+    layers = dict(module.all_layers())
+    runs = counting_forwards(monkeypatch, layers.values())
+    weight = module.pw2.params["weight"]
+    during = {}
+
+    def numeric(f, arr):
+        before = runs.copy()
+        grad = numerical_gradient(f, arr)
+        if arr is weight:
+            during.update(runs - before)
+        return grad
+
+    monkeypatch.setattr(training, "numerical_gradient", numeric)
+    gradcheck_errors(module, x)
+    objectives = 2 * weight.size
+    assert objectives == 16
+    after = {"pw2", "bn2", "relu_final"}
+    assert {path: during[id(layer)] for path, layer in layers.items()} == {
+        path: objectives if path in after else 1 for path in layers}
+
+
+def forward_entries(unit):
+    return {path: vars(layer).get("forward")
+            for path, layer in unit.all_layers()}
+
+
+@pytest.mark.parametrize("fail_at", [None, 3])
+def test_gradcheck_puts_every_forward_back(monkeypatch, fail_at):
+    module, x = module_with_eval_bn()
+    before = forward_entries(module)
+    assert before["bn_dw"] is not None
+    target = module.evolution.conv_e.params["weight"]
+
+    def numeric(f, arr):
+        calls = 0
+
+        def failing():
+            nonlocal calls
+            calls += 1
+            if calls == fail_at:
+                raise FloatingPointError("objective failed")
+            return f()
+
+        return numerical_gradient(failing if arr is target else f, arr)
+
+    monkeypatch.setattr(training, "numerical_gradient", numeric)
+    if fail_at is None:
+        gradcheck_errors(module, x)
+    else:
+        with pytest.raises(FloatingPointError):
+            gradcheck_errors(module, x)
+    after = forward_entries(module)
+    assert after.keys() == before.keys()
+    for path, entry in before.items():
+        assert after[path] is entry, path
+
+
+# ---------------------------------------------------------------------------
+# the invariant the reuse rests on, and bugs it must still catch
+# ---------------------------------------------------------------------------
+
+def train_units():
+    """Every layer case, a chain, and every module variant, with inputs."""
+    rng = np.random.default_rng(7)
+    for layer, shape in layer_cases(0):
+        yield layer, rng.normal(size=shape)
+    chain = Chain(("conv", Conv2d(4, 4, 3, rng=rng)), ("bn", BatchNorm2d(4)),
+                  ("relu", ReLU()))
+    yield chain, rng.normal(size=(2, 4, 5, 5))
+    for mode in ("product", "addition"):
+        for down in (False, True):
+            cfg = module_config(mode, down)
+            yield (MEModule(cfg, rng=rng),
+                   rng.normal(size=(1, cfg.in_channels, 5, 5)))
+
+
+def test_no_train_forward_writes_into_its_input():
+    for unit, x in train_units():
+        x.flags.writeable = False   # a write raises
+        before = x.tobytes()
+        unit.forward(x, train=True)
+        assert x.tobytes() == before, type(unit).__name__
+
+
+def add_to_weight_gradient(layer, value, index=(0, 0, 0, 0)):
+    """Make ``layer``'s backward add ``value`` to its weight gradient at
+    ``index`` (``...`` for every element)."""
+    backward = layer.backward
+
+    def wrong(grad_out):
+        grad_x = backward(grad_out)
+        layer.grads["weight"][index] += value
+        return grad_x
+
+    layer.backward = wrong
+
+
+@pytest.mark.parametrize("path", ["pw1", "evo.conv_e", "pw2"])
+def test_gradient_error_fails_on_either_side_of_the_owner(path):
+    # upstream of most layers, in the fusion branch, and downstream
+    rng = np.random.default_rng(0)
+    module = MEModule(module_config("product", False), rng=rng)
+    add_to_weight_gradient(module.named_layers()[path], 1.0)
+    assert gradcheck(module, rng.normal(size=(1, 8, 5, 5))) > MODULE_TOL
+
+
+def test_nan_weight_gradient_of_a_layer_fails():
+    rng = np.random.default_rng(0)
+    conv = Conv2d(3, 4, 3, rng=rng)
+    add_to_weight_gradient(conv, np.nan, ...)
+    worst, diff = gradcheck_errors(conv, rng.normal(size=(2, 3, 5, 5)))
+    assert math.isnan(worst) and math.isnan(diff)
+
+
+def test_one_nan_in_a_module_gradient_fails():
+    rng = np.random.default_rng(0)
+    module = MEModule(module_config("product", False), rng=rng)
+    add_to_weight_gradient(module.pw2, np.nan)
+    worst, diff = gradcheck_errors(module, rng.normal(size=(1, 8, 5, 5)))
+    assert math.isnan(worst) and math.isnan(diff)
+    assert not worst < MODULE_TOL
+
+
+@pytest.mark.parametrize("kind", ["layer", "module", "network"])
+def test_backward_after_gradcheck_raises(kind):
+    rng = np.random.default_rng(0)
+    if kind == "layer":
+        unit, x = Conv2d(3, 4, 3, rng=rng), rng.normal(size=(2, 3, 5, 5))
+        out_shape = (2, 4, 5, 5)
+    else:
+        module = MEModule(module_config("product", False), rng=rng)
+        unit = (module if kind == "module"
+                else Network([("m", module)], 8, 5, 8))
+        x, out_shape = rng.normal(size=(1, 8, 5, 5)), (1, 8, 5, 5)
+    gradcheck_errors(unit, x)
+    if kind != "layer":
+        assert module._cache is None
+        assert all(layer._cache is None for _, layer in unit.all_layers())
+    with pytest.raises(RuntimeError, match="without a cached forward"):
+        unit.backward(np.ones(out_shape))
