@@ -47,7 +47,8 @@ import functools
 
 import numpy as np
 
-from .tensor import ShapeError, check_groups, check_nchw
+from .tensor import (ShapeError, check_count, check_groups, check_integer,
+                     check_nchw)
 
 
 class _Grads(dict):
@@ -140,6 +141,8 @@ class Conv2d(Layer):
     def __init__(self, in_channels, out_channels, kernel, stride=1,
                  groups=1, rng=None):
         super().__init__()
+        check_integer("kernel", kernel)
+        check_integer("stride", stride)
         if kernel not in (1, 3):
             raise ValueError(f"kernel must be 1 or 3, got {kernel}")
         if stride not in (1, 2):
@@ -405,14 +408,15 @@ def conv2d_backward_raw(x, w, grad_out, stride, pad, groups):
 
 class BatchNorm2d(Layer):
     """Per-channel batch normalization. ``train=True`` normalizes with the
-    batch statistics and updates the running ones; ``train=False`` uses the
-    running statistics."""
+    batch statistics and moves the running ones toward them (``_track``);
+    ``train=False`` uses the running statistics."""
 
     epsilon = 1e-5
     momentum = 0.1
 
     def __init__(self, channels):
         super().__init__()
+        check_count("channels", channels)
         self.channels = channels
         self.params["gamma"] = np.ones(channels)
         self.params["beta"] = np.zeros(channels)
@@ -435,12 +439,7 @@ class BatchNorm2d(Layer):
             centered = x - mean[None, :, None, None]
             out = np.square(centered)
             var = np.add.reduce(out, axis=(0, 2, 3)) / m
-            self.running_mean = (
-                (1 - self.momentum) * self.running_mean + self.momentum * mean
-            )
-            self.running_var = (
-                (1 - self.momentum) * self.running_var + self.momentum * var
-            )
+            self._track(mean, var)
             inv_std = 1.0 / np.sqrt(var + self.epsilon)
             xhat = np.multiply(centered, inv_std[None, :, None, None],
                                out=centered)
@@ -457,6 +456,16 @@ class BatchNorm2d(Layer):
         out = x * scale[None, :, None, None]
         out += shift[None, :, None, None]
         return out
+
+    def _track(self, mean, var):
+        """Move the running statistics toward one batch's; no train output
+        reads them."""
+        self.running_mean = (
+            (1 - self.momentum) * self.running_mean + self.momentum * mean
+        )
+        self.running_var = (
+            (1 - self.momentum) * self.running_var + self.momentum * var
+        )
 
     def eval_affine(self):
         """(inv_std, scale, shift) of the eval pass from the running
@@ -512,10 +521,12 @@ class Sigmoid(Layer):
         return grad_out * out * (1.0 - out)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256, typed=True)
 def _shuffle_orders(channels, groups):
     """The shuffle permutation and its inverse, built once per (channels,
-    groups) and read-only, since every caller shares them."""
+    groups) and read-only, since every caller shares them. Keyed by type
+    too, so a 2.0 or a True never finds the entry of a 2 or a 1 and is
+    checked."""
     check_groups(channels, groups)
     perm = np.arange(channels).reshape(groups, -1).T.reshape(-1)
     inv = np.empty(channels, dtype=int)
@@ -620,6 +631,8 @@ class Linear(Layer):
 
     def __init__(self, in_features, out_features, rng=None):
         super().__init__()
+        check_count("in_features", in_features)
+        check_count("out_features", out_features)
         self.in_features = in_features
         self.out_features = out_features
         if rng is None:
@@ -693,10 +706,11 @@ class Composite:
             if isinstance(layer, BatchNorm2d):
                 yield name, layer
 
-    def _cache_holders(self):
-        """(path, holder) for every cache below that a backward reads, in
-        the order it reads them."""
-        return list(self.all_layers())[::-1]
+    def _cache_holders(self, prefix=""):
+        """(prefix + path, holder) for every cache below that a backward
+        reads, in the order it reads them."""
+        return [(path, layer)
+                for path, layer, _ in self.walk(prefix=prefix)][::-1]
 
     def _check_caches(self):
         """Raise, naming the first path, unless every cache below is there:
@@ -742,11 +756,17 @@ class Chain(Composite):
             i += 1 + fold
         return x
 
-    def _cache_holders(self):
-        # the layers', then each module step's own (d, f)
-        modules = [(name, step) for name, step in self.steps
-                   if isinstance(step, Composite) and hasattr(step, "_cache")]
-        return super()._cache_holders() + modules
+    def _cache_holders(self, prefix=""):
+        # the steps' in reverse: a layer, or a composite step's own cache (a
+        # module's (d, f)), which it reads before the caches below it
+        holders = []
+        for name, step in reversed(self.steps):
+            path = f"{prefix}{name}"
+            if hasattr(step, "_cache"):
+                holders.append((path, step))
+            if isinstance(step, Composite):
+                holders += step._cache_holders(f"{path}{self.sep}")
+        return holders
 
     def backward(self, grad_out, checked=False):
         """The steps' backwards in reverse, the caches checked first unless

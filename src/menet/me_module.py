@@ -22,7 +22,8 @@ the skip are written out by hand.
 
 from dataclasses import dataclass
 
-from .tensor import check_groups, concat_channels, elementwise_combine
+from .tensor import (check_groups, check_integer, concat_channels,
+                     elementwise_combine)
 from .layers import (
     AvgPool3x3s2,
     BatchNorm2d,
@@ -59,6 +60,9 @@ class MEModuleConfig:
 
     def validate(self):
         c = self
+        for name in ("in_channels", "out_channels", "fusion_channels",
+                     "groups"):
+            check_integer(name, getattr(c, name))
         b = c.out_channels // 4
         rules = [
             (c.out_channels % 4 == 0,

@@ -26,17 +26,23 @@ def check_groups(channels, groups, what="channels"):
     """``channels`` split into ``groups`` equal groups, as grouped convs and
     the channel shuffle need; ``what`` names the channel count."""
     for name, value in ((what, channels), ("groups", groups)):
+        check_integer(name, value)
         if value < 1:
             raise ShapeError(f"{name} must be >= 1, got {value}")
     if channels % groups:
         raise ShapeError(f"{what}={channels} not divisible by groups={groups}")
 
 
+def check_integer(name, value):
+    """An integer, Python's or numpy's, not a bool."""
+    if type(value) is bool or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_count(name, value, low=1, prefix=""):
     """A count of steps, samples, pixels or channels: an integer, not a
     bool, and at least ``low``, which ``prefix`` may explain."""
-    if type(value) is bool or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    check_integer(name, value)
     if value < low:
         raise ValueError(f"{prefix}{name} must be >= {low}, got {value}")
 

@@ -14,7 +14,10 @@ module, see the same input and the same weights as before. This rests on
 two facts the test suite holds: a train forward reads only its input and
 its own parameters, and no layer, chain or module writes into its input.
 So the reused output is the one the layer would compute, and the numeric
-gradients are byte for byte those of re-running every layer.
+gradients are byte for byte those of re-running every layer. For the whole
+check, every batch norm holds its running statistics still: no train
+output reads them, so the thousands of train forwards leave them, the very
+same arrays, as they were, and the gradients keep every byte.
 """
 
 import contextlib
@@ -361,23 +364,23 @@ def _memo(forward):
 
 
 @contextlib.contextmanager
-def _reuse_outputs(layers):
-    """Within it, each of ``layers`` reuses its last output on the same
-    input (``_memo``); each layer's own ``forward`` attribute, such as an
-    instance override, is put back on exit, also on error."""
+def _setting(overrides):
+    """Within it, each (obj, name, value) of ``overrides`` is an instance
+    attribute of obj; on exit, also on error, each object's own instance
+    value, such as an instance override of ``forward``, is put back, or the
+    attribute removed where it had none."""
     saved = []
     try:
-        for layer in layers:
-            memo = _memo(layer.forward)
-            saved.append((layer, vars(layer).get("forward")))
-            layer.forward = memo
+        for obj, name, value in overrides:
+            saved.append((obj, name, vars(obj).get(name)))
+            setattr(obj, name, value)
         yield
     finally:
-        for layer, own in saved:
+        for obj, name, own in saved:
             if own is None:
-                del layer.forward
+                delattr(obj, name)
             else:
-                layer.forward = own
+                setattr(obj, name, own)
 
 
 def _clear_caches(unit):
@@ -397,17 +400,14 @@ def gradcheck_errors(unit, x, seed=0):
     While the numeric gradient of one parameter of a composite is built,
     every other layer reuses its output on an unchanged input (see the
     module docstring); the input's own differences, which perturb ``x`` in
-    place, re-run every layer. The running statistics of every batch norm
-    in ``unit``, which each train forward moves, are restored before it
-    returns, and every train cache below ``unit`` is cleared."""
+    place, re-run every layer. Every batch norm in ``unit``, counted once,
+    holds its running statistics still for the whole check, also when it
+    raises, and every train cache below ``unit`` is cleared."""
     layers = []
     if isinstance(unit, Composite):
-        bns = [bn for _, bn in unit.batchnorms()]
         layers = list({id(layer): layer
                        for _, layer in unit.all_layers()}.values())
-    else:
-        bns = [unit] if isinstance(unit, BatchNorm2d) else []
-    saved = [(bn.running_mean.copy(), bn.running_var.copy()) for bn in bns]
+    bns = [bn for bn in layers or [unit] if isinstance(bn, BatchNorm2d)]
     rng = np.random.default_rng(seed)
     x = np.array(x, dtype=float)
     probe = None
@@ -420,21 +420,24 @@ def gradcheck_errors(unit, x, seed=0):
         return float((out * probe).sum())
 
     try:
-        unit.zero_grad()
-        objective()
-        grad_x = unit.backward(probe)
-        grads = unit.grads
-        pairs = [(grad_x, numerical_gradient(objective, x))]
-        for name, p in unit.params.items():
-            # fresh memos on every layer but the ones holding p, none when
-            # no layer holds it (a bare layer unit)
-            others = [layer for layer in layers
-                      if not any(q is p for q in layer.params.values())]
-            with _reuse_outputs(others if len(others) < len(layers) else []):
-                pairs.append((grads[name], numerical_gradient(objective, p)))
+        with _setting((bn, "_track", lambda mean, var: None) for bn in bns):
+            unit.zero_grad()
+            objective()
+            grad_x = unit.backward(probe)
+            grads = unit.grads
+            pairs = [(grad_x, numerical_gradient(objective, x))]
+            for name, p in unit.params.items():
+                # fresh memos on every layer but the ones holding p, none
+                # when no layer holds it (a bare layer unit)
+                others = [layer for layer in layers
+                          if not any(q is p for q in layer.params.values())]
+                if len(others) == len(layers):
+                    others = []
+                with _setting((layer, "forward", _memo(layer.forward))
+                              for layer in others):
+                    pairs.append((grads[name],
+                                  numerical_gradient(objective, p)))
     finally:
-        for bn, (mean, var) in zip(bns, saved):
-            bn.running_mean, bn.running_var = mean, var
         _clear_caches(unit)
     # np.max, unlike max, keeps a NaN wherever it is
     worst = np.max([relative_error(a, num).max() for a, num in pairs])

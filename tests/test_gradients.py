@@ -160,29 +160,75 @@ def running_statistics(bns):
 
 
 def gradcheck_unit(kind):
-    """(unit, its batch norms, input) for a bare batch norm, a module, or a
-    network holding that module."""
+    """(unit, its batch norms, input) for a bare batch norm, a module, a
+    network holding that module, or a module with an eval-mode batch
+    norm."""
     rng = np.random.default_rng(0)
     if kind == "bn":
         bn = BatchNorm2d(3)
         return bn, [bn], rng.normal(size=(2, 3, 4, 4))
+    if kind == "eval-bn-module":
+        module, x = module_with_eval_bn()
+        return module, [bn for _, bn in module.batchnorms()], x
     module = MEModule(MEModuleConfig(8, 8, 2, 2), rng=rng)
     unit = module if kind == "module" else Network([("m", module)], 8, 5, 8)
     bns = [bn for _, bn in module.batchnorms()]
     return unit, bns, rng.normal(size=(1, 8, 5, 5))
 
 
-@pytest.mark.parametrize("kind", ["bn", "module", "network"])
-def test_gradcheck_restores_running_statistics(kind):
-    # ~1000 train forwards would move them; the eval output must not change
-    unit, bns, x = gradcheck_unit(kind)
-    before = running_statistics(bns)
-    eval_before = unit.forward(x, train=False)
-    errors = gradcheck_errors(unit, x)
-    assert errors[0] < MODULE_TOL
-    for (mean, var), (mean0, var0) in zip(running_statistics(bns), before):
-        assert np.array_equal(mean, mean0) and np.array_equal(var, var0)
-    assert np.array_equal(unit.forward(x, train=False), eval_before)
+def failing_at(f, n):
+    """``f`` that raises at its n-th call (never for ``None``)."""
+    calls = 0
+
+    def failing(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == n:
+            raise FloatingPointError("objective failed")
+        return f(*args, **kwargs)
+
+    return failing
+
+
+@pytest.mark.parametrize("kind", ["bn", "module", "network", "eval-bn-module"])
+def test_gradcheck_restores_running_statistics(monkeypatch, kind):
+    # ~1000 train forwards would move them: each batch norm holds them
+    # still, the very same arrays, also when the objective raises at its
+    # 3rd call, and the next train forward moves them as in a twin unit
+    tracked, track = [], BatchNorm2d._track
+
+    def spy(self, mean, var):
+        tracked.append(self)
+        track(self, mean, var)
+
+    monkeypatch.setattr(BatchNorm2d, "_track", spy)
+    for fail_at in (None, 3):
+        unit, bns, x = gradcheck_unit(kind)
+        twin, twin_bns, _ = gradcheck_unit(kind)
+        arrays = [(bn.running_mean, bn.running_var) for bn in bns]
+        before = running_statistics(bns)
+        eval_before = unit.forward(x, train=False)
+        tracked.clear()
+        if fail_at is None:
+            assert gradcheck_errors(unit, x)[0] < MODULE_TOL
+        else:
+            unit.forward = failing_at(unit.forward, fail_at)
+            with pytest.raises(FloatingPointError):
+                gradcheck_errors(unit, x)
+            del unit.forward
+        assert tracked == [], fail_at
+        for bn, (mean, var), (mean0, var0) in zip(bns, arrays, before):
+            assert bn.running_mean is mean and bn.running_var is var
+            assert mean.tobytes() == mean0.tobytes()
+            assert var.tobytes() == var0.tobytes()
+        assert np.array_equal(unit.forward(x, train=False), eval_before)
+        unit.forward(x, train=True)
+        twin.forward(x, train=True)
+        assert sorted(map(id, tracked)) == sorted(
+            id(bn) for bn in bns + twin_bns if "forward" not in vars(bn))
+        for bn, twin_bn in zip(bns, twin_bns):
+            assert bn.running_mean.tobytes() == twin_bn.running_mean.tobytes()
+            assert bn.running_var.tobytes() == twin_bn.running_var.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -321,29 +367,24 @@ def test_only_layers_after_the_owner_run_again(monkeypatch):
         path: objectives if path in after else 1 for path in layers}
 
 
-def forward_entries(unit):
-    return {path: vars(layer).get("forward")
+def instance_entries(unit):
+    """Per layer, its instance attribute names and its own ``forward`` and
+    ``_track`` entries."""
+    return {path: (set(vars(layer)), vars(layer).get("forward"),
+                   vars(layer).get("_track"))
             for path, layer in unit.all_layers()}
 
 
 @pytest.mark.parametrize("fail_at", [None, 3])
 def test_gradcheck_puts_every_forward_back(monkeypatch, fail_at):
     module, x = module_with_eval_bn()
-    before = forward_entries(module)
-    assert before["bn_dw"] is not None
+    before = instance_entries(module)
+    assert before["bn_dw"][1] is not None
     target = module.evolution.conv_e.params["weight"]
 
     def numeric(f, arr):
-        calls = 0
-
-        def failing():
-            nonlocal calls
-            calls += 1
-            if calls == fail_at:
-                raise FloatingPointError("objective failed")
-            return f()
-
-        return numerical_gradient(failing if arr is target else f, arr)
+        return numerical_gradient(
+            failing_at(f, fail_at) if arr is target else f, arr)
 
     monkeypatch.setattr(training, "numerical_gradient", numeric)
     if fail_at is None:
@@ -351,10 +392,11 @@ def test_gradcheck_puts_every_forward_back(monkeypatch, fail_at):
     else:
         with pytest.raises(FloatingPointError):
             gradcheck_errors(module, x)
-    after = forward_entries(module)
+    after = instance_entries(module)
     assert after.keys() == before.keys()
-    for path, entry in before.items():
-        assert after[path] is entry, path
+    for path, (names, forward, track) in before.items():
+        assert after[path][0] == names, path
+        assert after[path][1] is forward and after[path][2] is track, path
 
 
 # ---------------------------------------------------------------------------
@@ -423,16 +465,18 @@ def test_one_nan_in_a_module_gradient_fails():
     assert not worst < MODULE_TOL
 
 
-@pytest.mark.parametrize("kind", ["layer", "module", "network"])
+@pytest.mark.parametrize("kind", ["layer", "module", "network", "nested"])
 def test_backward_after_gradcheck_raises(kind):
     rng = np.random.default_rng(0)
     if kind == "layer":
         unit, x = Conv2d(3, 4, 3, rng=rng), rng.normal(size=(2, 3, 5, 5))
         out_shape = (2, 4, 5, 5)
     else:
+        # "nested": the module two chains down
         module = MEModule(module_config("product", False), rng=rng)
-        unit = (module if kind == "module"
-                else Network([("m", module)], 8, 5, 8))
+        unit = {"module": module,
+                "network": Network([("m", module)], 8, 5, 8),
+                "nested": Chain(("inner", Chain(("m", module))))}[kind]
         x, out_shape = rng.normal(size=(1, 8, 5, 5)), (1, 8, 5, 5)
     gradcheck_errors(unit, x)
     if kind != "layer":

@@ -672,6 +672,56 @@ class TestConv2d:
             Conv2d(4, 6, 1, groups=4)
 
 
+# each layer size not an integer, or a bool, and the message naming it;
+# a shuffle group count is checked at its first forward, which must not
+# find the entry a 2 or a 1 left in the permutation cache
+SIZES_NOT_INTEGERS = {
+    "conv-groups": (lambda: Conv2d(4, 4, 1, groups=True),
+                    "groups must be an integer, got True"),
+    "conv-in": (lambda: Conv2d(4.0, 4, 1),
+                "in_channels must be an integer, got 4.0"),
+    "conv-out": (lambda: Conv2d(4, 4.0, 1),
+                 "out_channels must be an integer, got 4.0"),
+    "conv-kernel": (lambda: Conv2d(4, 4, True),
+                    "kernel must be an integer, got True"),
+    "conv-stride": (lambda: Conv2d(4, 4, 3, stride=1.0),
+                    "stride must be an integer, got 1.0"),
+    "bn-float": (lambda: BatchNorm2d(2.0),
+                 "channels must be an integer, got 2.0"),
+    "bn-bool": (lambda: BatchNorm2d(True),
+                "channels must be an integer, got True"),
+    "linear-out": (lambda: Linear(4, True),
+                   "out_features must be an integer, got True"),
+    "linear-in": (lambda: Linear(4.0, 3),
+                  "in_features must be an integer, got 4.0"),
+    "shuffle-float": (
+        lambda: ChannelShuffle(2.0).forward(np.zeros((1, 4, 2, 2))),
+        "groups must be an integer, got 2.0"),
+    "shuffle-bool": (
+        lambda: ChannelShuffle(True).forward(np.zeros((1, 4, 2, 2))),
+        "groups must be an integer, got True"),
+}
+
+
+@pytest.mark.parametrize("case", list(SIZES_NOT_INTEGERS))
+def test_sizes_not_integers_named(case):
+    make, message = SIZES_NOT_INTEGERS[case]
+    for groups in (1, 2):
+        ChannelShuffle(groups).forward(np.zeros((1, 4, 2, 2)))
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_numpy_integer_sizes_build_and_run():
+    i = np.int64
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(2, 4, 3, 3))
+    for layer in (Conv2d(i(4), i(4), i(3), stride=i(1), groups=i(2), rng=rng),
+                  BatchNorm2d(i(4)), ChannelShuffle(i(2))):
+        assert layer.forward(x, train=True).shape == x.shape
+    assert Linear(i(4), i(3), rng=rng).forward(x[:, :, :1, :1]).shape == (2, 3)
+
+
 def frozen_bn_train(x, gamma, beta, running_mean, running_var, grad_out,
                     epsilon=1e-5, momentum=0.1):
     """The train-mode batch norm forward and backward as written with
@@ -1425,6 +1475,57 @@ def test_network_backward_checks_each_cache_once(monkeypatch):
     monkeypatch.setattr(Composite, "_check_caches", recording)
     net.backward(np.ones_like(out))
     assert checked == [net]
+
+
+def nested_module_chain():
+    """A chain whose one step is a chain holding a module and a batch norm,
+    after a train forward, and the forward's output."""
+    module = MEModule(MEModuleConfig(8, 8, 2, 2), rng=np.random.default_rng(0))
+    chain = Chain(("inner", Chain(("m", module), ("bn", BatchNorm2d(8)))))
+    out = chain.forward(np.random.default_rng(1).normal(size=(1, 8, 5, 5)),
+                        train=True)
+    return chain, module, out
+
+
+def test_nested_chain_checks_a_module_below_it():
+    # the module's (d, f) is two chains down: the outermost backward names
+    # it before the batch norm after it adds a gradient
+    chain, module, out = nested_module_chain()
+    module._cache = None
+    with pytest.raises(RuntimeError,
+                       match="inner.m: MEModule.backward called without"):
+        chain.backward(np.ones_like(out))
+    assert not any(layer.grads for _, layer in chain.all_layers())
+
+
+@pytest.mark.parametrize("kind", ["nested", "network"])
+def test_cache_holders_in_the_order_backward_reads_them(monkeypatch, kind):
+    if kind == "nested":
+        unit, _, out = nested_module_chain()
+    else:
+        unit = build_menet(desk_config(), seed=0)
+        out = unit.forward(np.random.default_rng(0).normal(size=(2, 3, 8, 8)),
+                           train=True)
+    holders = unit._cache_holders()
+    read = []
+    take, module_backward = layers.Layer._take_cache, MEModule.backward
+
+    def taking(self):
+        read.append(self)
+        return take(self)
+
+    def entering(self, *args, **kwargs):
+        read.append(self)   # its (d, f) is read first
+        return module_backward(self, *args, **kwargs)
+
+    monkeypatch.setattr(layers.Layer, "_take_cache", taking)
+    monkeypatch.setattr(MEModule, "backward", entering)
+    unit.backward(np.ones_like(out))
+    assert [holder for _, holder in holders] == read
+    assert any(isinstance(holder, MEModule) for holder in read)
+    if kind == "nested":
+        assert [path for path, _ in holders[:3]] == [
+            "inner.bn", "inner.m", "inner.m.relu_final"]
 
 
 def test_module_backward_checks_every_cache_before_any_step():

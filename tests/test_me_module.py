@@ -55,6 +55,21 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"groups must be >= 1, got {groups}"):
             MEModuleConfig(8, 8, 2, groups).validate()
 
+    @pytest.mark.parametrize("fields,message", [
+        ((8, 8, 2, True), "groups must be an integer, got True"),
+        ((8, 8, True, 2), "fusion_channels must be an integer, got True"),
+        ((8.0, 8, 2, 2), "in_channels must be an integer, got 8.0"),
+        ((8, 8.0, 2, 2), "out_channels must be an integer, got 8.0"),
+    ], ids=["groups", "fusion", "in", "out"])
+    def test_sizes_not_integers_named(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            make(MEModuleConfig(*fields))
+
+    def test_numpy_integer_sizes_build(self):
+        cfg = MEModuleConfig(*map(np.int64, (8, 8, 2, 2)))
+        x = np.random.default_rng(0).normal(size=(1, 8, 5, 5))
+        assert make(cfg).forward(x, train=True).shape == x.shape
+
     def test_grouped_widths_named(self):
         # a bottleneck of 6 splits into 3 groups; 20 inputs and the 4
         # residual outputs left beside them do not
