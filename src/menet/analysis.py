@@ -17,7 +17,7 @@ import numpy as np
 from .layers import ChannelShuffle, Conv2d
 from .me_module import MEModule
 from .network import Network
-from .tensor import check_groups, elementwise_combine
+from .tensor import check_count, check_groups, elementwise_combine
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +227,11 @@ def count_cost(net: Network, input_shape=None) -> CostReport:
     propagation, for a (c, h, w) input (default: the net's own)."""
     if input_shape is None:
         input_shape = (net.in_channels, net.input_size, net.input_size)
+    input_shape = tuple(input_shape)
+    for i, size in enumerate(input_shape):
+        check_count(f"input_shape[{i}]", size)
     report = CostReport()
-    for name, layer, shape in net.walk(tuple(input_shape)):
+    for name, layer, shape in net.walk(input_shape):
         report.entries.append(CostEntry(
             name, layer.out_shape(shape), layer.macs(shape),
             sum(p.size for p in layer.params.values())))

@@ -42,8 +42,19 @@ CONFIG_KEYS = {
 }
 
 
+def _unique_keys(pairs):
+    """A JSON object's (key, value) pairs as a dict; a repeated key is an
+    error, not a silent override."""
+    cfg = {}
+    for key, value in pairs:
+        if key in cfg:
+            raise ValueError(f"config key {key!r} given twice")
+        cfg[key] = value
+    return cfg
+
+
 def load_config(path):
-    cfg = json.loads(Path(path).read_text())
+    cfg = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     if not isinstance(cfg, dict):
         raise ValueError("config root must be a JSON object")
     unknown = cfg.keys() - CONFIG_KEYS.keys()
@@ -61,8 +72,9 @@ def load_config(path):
     return cfg
 
 
-def _merged_settings(args):
-    """Preset values first, then file values, then non-None CLI flags."""
+def _merged_settings(args, preset=None):
+    """Preset values first (the named preset, else ``preset``), then file
+    values, then non-None CLI flags."""
     settings = {}
     if getattr(args, "config", None):
         settings.update(load_config(args.config))
@@ -70,10 +82,9 @@ def _merged_settings(args):
         val = getattr(args, key, None)
         if val is not None:
             settings[key] = val
-    if settings.get("preset"):
-        base = dict(training.PRESETS[settings["preset"]])
-        base.update({k: v for k, v in settings.items() if k != "preset"})
-        settings = base
+    preset = settings.pop("preset", None) or preset
+    if preset:
+        settings = {**training.PRESETS[preset], **settings}
     return settings
 
 
@@ -164,8 +175,7 @@ def cmd_make_synth(args):
 
 
 def cmd_train(args):
-    # the desk preset fills in what neither a preset nor a setting gives
-    settings = {**training.PRESETS["desk"], **_merged_settings(args)}
+    settings = _merged_settings(args, preset="desk")
     if "dataset" not in settings:
         raise ValueError("--dataset is required")
     data = serialization.load_dataset(settings["dataset"])

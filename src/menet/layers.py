@@ -172,7 +172,10 @@ class Conv2d(Layer):
                 and self.in_channels == self.out_channels == self.groups > 1)
 
     def out_shape(self, shape):
-        _, h, w = shape
+        c, h, w = shape
+        if c != self.in_channels:
+            raise ShapeError(
+                f"expected {self.in_channels} input channels, got {c}")
         return (self.out_channels,
                 conv_out_size(h, self.kernel, self.stride, self.pad),
                 conv_out_size(w, self.kernel, self.stride, self.pad))
@@ -645,6 +648,11 @@ class Linear(Layer):
 
     def out_shape(self, shape):
         """Logits as a (k, 1, 1) map, though forward returns (n, k)."""
+        c, h, w = shape
+        if (h, w) != (1, 1):
+            raise ShapeError(f"expected 1x1 spatial dims, got {(h, w)}")
+        if c != self.in_features:
+            raise ShapeError(f"expected {self.in_features} features, got {c}")
         return (self.out_features, 1, 1)
 
     def macs(self, shape):

@@ -7,17 +7,18 @@ epochs, momentum 0.9, weight decay 4e-5) are kept as the "paper" preset;
 the desk preset shrinks batch and epoch counts for CPU runs.
 
 The gradient checker runs the whole unit for every finite difference, but
-while it nudges one parameter, every layer except the one that holds it
+while it nudges the parameters of one layer, their owner, every other layer
 returns its last output again when called on the very same input array:
 the layers upstream of the owner, and those in the other branch of a
 module, see the same input and the same weights as before. This rests on
 two facts the test suite holds: a train forward reads only its input and
 its own parameters, and no layer, chain or module writes into its input.
-So the reused output is the one the layer would compute, and the numeric
-gradients are byte for byte those of re-running every layer. For the whole
-check, every batch norm holds its running statistics still: no train
-output reads them, so the thousands of train forwards leave them, the very
-same arrays, as they were, and the gradients keep every byte.
+No parameter belongs to two layers: each keeps its own gradient, so tied
+weights would fail the analytic side first. So the reused output is the
+one the layer would compute, and the numeric gradients are byte for byte
+those of re-running every layer. For the whole check, every batch norm
+holds its running statistics still: no train output reads them, so the
+train forwards leave them, the very same arrays, as they were.
 """
 
 import contextlib
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import BatchNorm2d, Composite
+from .layers import BatchNorm2d, Chain
 from .network import Network
 from .tensor import check_count
 
@@ -383,31 +384,21 @@ def _setting(overrides):
                 setattr(obj, name, own)
 
 
-def _clear_caches(unit):
-    """Drop the cache of ``unit`` and of everything below it that a
-    backward reads, so a backward after the check raises."""
-    below = unit._cache_holders() if isinstance(unit, Composite) else []
-    for holder in [unit, *(h for _, h in below)]:
-        if hasattr(holder, "_cache"):
-            holder._cache = None
-
-
 def gradcheck_errors(unit, x, seed=0):
     """``gradcheck``'s max relative error and, from the same pass, the max
     |analytic - numeric|: the margin that the 1e-7 agreement floor hides.
     A NaN anywhere makes both NaN, which fails any ``<`` test.
 
-    While the numeric gradient of one parameter of a composite is built,
-    every other layer reuses its output on an unchanged input (see the
-    module docstring); the input's own differences, which perturb ``x`` in
-    place, re-run every layer. Every batch norm in ``unit``, counted once,
-    holds its running statistics still for the whole check, also when it
-    raises, and every train cache below ``unit`` is cleared."""
-    layers = []
-    if isinstance(unit, Composite):
-        layers = list({id(layer): layer
-                       for _, layer in unit.all_layers()}.values())
-    bns = [bn for bn in layers or [unit] if isinstance(bn, BatchNorm2d)]
+    The numeric gradients of one layer's parameters are built together,
+    while every other layer reuses its output on an unchanged input (see
+    the module docstring); the input's own differences, which perturb ``x``
+    in place, re-run every layer. The layers are listed once through a
+    one-step chain, a bare layer as its only one. Every batch norm holds
+    its running statistics still for the whole check, also when it raises,
+    and every train cache below ``unit`` is cleared."""
+    chain = Chain(("unit", unit))
+    layers = list({id(layer): layer
+                   for _, layer in chain.all_layers()}.values())
     rng = np.random.default_rng(seed)
     x = np.array(x, dtype=float)
     probe = None
@@ -420,25 +411,21 @@ def gradcheck_errors(unit, x, seed=0):
         return float((out * probe).sum())
 
     try:
-        with _setting((bn, "_track", lambda mean, var: None) for bn in bns):
+        with _setting((bn, "_track", lambda mean, var: None)
+                      for bn in layers if isinstance(bn, BatchNorm2d)):
             unit.zero_grad()
             objective()
             grad_x = unit.backward(probe)
-            grads = unit.grads
             pairs = [(grad_x, numerical_gradient(objective, x))]
-            for name, p in unit.params.items():
-                # fresh memos on every layer but the ones holding p, none
-                # when no layer holds it (a bare layer unit)
-                others = [layer for layer in layers
-                          if not any(q is p for q in layer.params.values())]
-                if len(others) == len(layers):
-                    others = []
+            for owner in (layer for layer in layers if layer.params):
                 with _setting((layer, "forward", _memo(layer.forward))
-                              for layer in others):
-                    pairs.append((grads[name],
-                                  numerical_gradient(objective, p)))
+                              for layer in layers if layer is not owner):
+                    pairs += [(owner.grads[key],
+                               numerical_gradient(objective, p))
+                              for key, p in owner.params.items()]
     finally:
-        _clear_caches(unit)
+        for _, holder in chain._cache_holders():
+            holder._cache = None
     # np.max, unlike max, keeps a NaN wherever it is
     worst = np.max([relative_error(a, num).max() for a, num in pairs])
     diff = np.max([np.abs(a - num).max() for a, num in pairs])

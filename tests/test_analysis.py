@@ -175,6 +175,20 @@ class TestCost:
         assert fc.macs == 912 * 1000
         assert fc.params == 912 * 1000 + 1000
 
+    def test_input_shape_the_network_cannot_run_is_rejected(self):
+        cfg = MENetConfig.from_notation("228-MENet-12x1", groups=3)
+        net = build_menet(cfg, seed=0)
+        with pytest.raises(ShapeError,
+                           match="expected 3 input channels, got 5"):
+            count_cost(net, (5, 224, 224))
+        for shape, i, got in [((3, 0, 0), 1, "0"), ((0, 224, 224), 0, "0"),
+                              ((3, 224, -1), 2, "-1")]:
+            with pytest.raises(ValueError, match=rf"input_shape\[{i}\] "
+                               f"must be >= 1, got {got}"):
+                count_cost(net, shape)
+        with pytest.raises(ValueError, match="must be an integer"):
+            count_cost(net, (3, 224.0, 224))
+
     @pytest.mark.parametrize("notation,groups,target", [
         ("228-MENet-12x1", 3, 144e6),
         ("256-MENet-12x1", 4, 140e6),

@@ -216,6 +216,16 @@ class TestConfigFile:
         assert_one_error_line(code, err)
         assert message in err and out == ""
 
+    def test_repeated_key_is_one_error_line(self, capsys, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text('{"model": "228-MENet-12x1", "groups": 8, "groups": 3}')
+        with pytest.raises(ValueError,
+                           match="config key 'groups' given twice"):
+            load_config(p)
+        code, out, err = run(capsys, "build", "--config", str(p))
+        assert_one_error_line(code, err)
+        assert "config key 'groups' given twice" in err and out == ""
+
     def test_root_not_an_object_is_one_error_line(self, capsys, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps(["228-MENet-12x1"]))

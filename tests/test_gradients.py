@@ -315,9 +315,18 @@ def module_with_eval_bn():
     return module, rng.normal(size=(1, 8, 5, 5))
 
 
+def bare_layer(i, seed=0):
+    """The i-th ``layer_cases`` layer alone as the unit, with an input."""
+    layer, shape = list(layer_cases(seed))[i]
+    return layer, np.random.default_rng([seed, i]).normal(size=shape)
+
+
 UNITS = {**{f"tiny-{i}": functools.partial(tiny_variant, i)
             for i in range(4)},
-         "desk-network": desk_network, "eval-bn-module": module_with_eval_bn}
+         "desk-network": desk_network, "eval-bn-module": module_with_eval_bn,
+         **{f"bare-{i}-{type(layer).__name__}":
+            functools.partial(bare_layer, i)
+            for i, (layer, _) in enumerate(layer_cases(0))}}
 
 
 @pytest.mark.parametrize("case", list(UNITS))
@@ -343,28 +352,36 @@ def counting_forwards(monkeypatch, layers):
 
 
 def test_only_layers_after_the_owner_run_again(monkeypatch):
+    # per owner: pw2's weight, then bn2's gamma and beta loops together,
+    # in which every layer before the combine, the fusion and depthwise
+    # branches included, runs once in all; pw2 reads the combine, which
+    # the module computes afresh on every forward, so it runs again too
     module = MEModule(module_config("product", False),
                       rng=np.random.default_rng(0))
     x = np.random.default_rng(1).normal(size=(1, 8, 5, 5))
     layers = dict(module.all_layers())
     runs = counting_forwards(monkeypatch, layers.values())
-    weight = module.pw2.params["weight"]
-    during = {}
+    owned = {id(p): owner for owner in ("pw2", "bn2")
+             for p in layers[owner].params.values()}
+    during = {"pw2": collections.Counter(), "bn2": collections.Counter()}
 
     def numeric(f, arr):
         before = runs.copy()
         grad = numerical_gradient(f, arr)
-        if arr is weight:
-            during.update(runs - before)
+        if id(arr) in owned:
+            during[owned[id(arr)]].update(runs - before)
         return grad
 
     monkeypatch.setattr(training, "numerical_gradient", numeric)
     gradcheck_errors(module, x)
-    objectives = 2 * weight.size
-    assert objectives == 16
-    after = {"pw2", "bn2", "relu_final"}
-    assert {path: during[id(layer)] for path, layer in layers.items()} == {
-        path: objectives if path in after else 1 for path in layers}
+    for owner, after, objectives in [
+            ("pw2", {"pw2", "bn2", "relu_final"}, 16),
+            ("bn2", {"pw2", "bn2", "relu_final"}, 32)]:
+        assert objectives == 2 * sum(
+            p.size for p in layers[owner].params.values())
+        assert {path: during[owner][id(layer)]
+                for path, layer in layers.items()} == {
+            path: objectives if path in after else 1 for path in layers}, owner
 
 
 def instance_entries(unit):

@@ -1338,6 +1338,23 @@ def test_out_shape_and_macs_match_forward(kind, stride, make, size):
     assert layer.macs(shape) == expected
 
 
+@pytest.mark.parametrize("make,shape", [
+    (lambda: Conv2d(4, 6, 1, groups=2), (3, 5, 5)),
+    (lambda: Conv2d(4, 5, 3, stride=2), (5, 5, 5)),
+    (lambda: Linear(4, 2), (9, 5, 5)),
+    (lambda: Linear(4, 2), (4, 5, 5)),
+    (lambda: Linear(4, 2), (9, 1, 1)),
+], ids=["pw", "conv3x3", "linear-both", "linear-map", "linear-features"])
+def test_out_shape_rejects_what_forward_rejects(make, shape):
+    # count_cost walks out_shape alone, so it must refuse the same inputs
+    layer = make()
+    with pytest.raises(ShapeError) as forward_error:
+        layer.forward(np.zeros((1, *shape)))
+    with pytest.raises(ShapeError) as shape_error:
+        layer.out_shape(shape)
+    assert str(shape_error.value) == str(forward_error.value)
+
+
 @pytest.mark.parametrize("train", [True, False])
 @pytest.mark.parametrize("kind,stride,make", SHAPE_CASES,
                          ids=[f"{k}-s{s}" for k, s, _ in SHAPE_CASES])
