@@ -26,7 +26,8 @@ byte for byte, so a numpy whose einsum rounds otherwise fails there rather
 than shifting results silently.
 Train-mode batch norm runs numpy's mean/var reductions without their
 wrappers and writes over its own temporaries, byte for byte as
-``x.mean``/``x.var``.
+``x.mean``/``x.var``. A train forward keeps a complex input or parameter
+complex, as the gradient check's complex step needs.
 
 The eval forward is not bit-identical to the reference. Depthwise convs
 run the reference kernel there too, the others ``conv2d_gemm``, a BLAS
@@ -255,13 +256,14 @@ def conv2d_raw(x, w, stride, pad, groups):
     n, _, h, wd = x.shape
     cout, cpg, k, _ = w.shape
     opg = cout // groups
+    dtype = np.result_type(x, w, float)   # a complex x or w stays complex
     if cpg == opg == 1 < groups:
         # depthwise, channels-last: x is copied once into a zero-padded
         # (n, h, w, c) map, so einsum's innermost loop runs over channels,
         # contiguous in every operand, and adds each output's taps from 0
         # in (ky, kx) order
         (oh, ow), _ = _tap_geometry(h, wd, k, stride, pad)
-        xp = np.zeros((n, h + 2 * pad, wd + 2 * pad, cout))
+        xp = np.zeros((n, h + 2 * pad, wd + 2 * pad, cout), dtype)
         xp[:, pad:pad + h, pad:pad + wd] = x.transpose(0, 2, 3, 1)
         sn, sh, sw, sc = xp.strides
         win = np.ndarray((n, oh, ow, k, k, cout), xp.dtype, buffer=xp,
@@ -274,7 +276,7 @@ def conv2d_raw(x, w, stride, pad, groups):
     oh, ow = win.shape[-2:]
     terms, m = cpg * k * k, n * oh * ow
     cols = np.ascontiguousarray(win.transpose(2, 3, 4, 1, 0, 5, 6),
-                                dtype=float).reshape(terms, groups, m)
+                                dtype=dtype).reshape(terms, groups, m)
     wt = w.reshape(groups, opg, terms).transpose(2, 0, 1)
     if m > 1:
         # einsum's innermost loop runs over the outputs, contiguous in cols
@@ -283,11 +285,11 @@ def conv2d_raw(x, w, stride, pad, groups):
     else:
         # one pixel, where einsum would sum the terms in SIMD lanes: they
         # are multiplied and added one by one
-        sums = np.zeros((groups, opg, 1))
+        sums = np.zeros((groups, opg, 1), dtype)
         for t in range(terms):
             sums += wt[t, :, :, None] * cols[t, :, None]
     # C order: batch norm's reductions, and so its bits, follow the layout
-    out = np.empty((n, cout, oh, ow))
+    out = np.empty((n, cout, oh, ow), dtype)
     out.reshape(n, groups, opg, oh * ow)[...] = sums.reshape(
         groups, opg, n, oh * ow).transpose(2, 0, 1, 3)
     return out
@@ -447,8 +449,10 @@ class BatchNorm2d(Layer):
             xhat = np.multiply(centered, inv_std[None, :, None, None],
                                out=centered)
             self._cache = (xhat, inv_std, m)
-            np.multiply(self.params["gamma"][None, :, None, None], xhat,
-                        out=out)
+            gamma = self.params["gamma"][None, :, None, None]
+            # into the square's buffer when the dtypes match
+            out = (np.multiply(gamma, xhat, out=out)
+                   if gamma.dtype == out.dtype else gamma * xhat)
             out += self.params["beta"][None, :, None, None]
             return out
         # eval: one affine pass; the statistics are constants
@@ -577,7 +581,8 @@ class MaxPool3x3s2(_Pool3x3s2):
     def forward(self, x, train=False):
         check_nchw(x)
         xp, (oh, ow), taps = _windows(x, 3, 2, 1, fill=-np.inf)
-        out = np.full((*x.shape[:2], oh, ow), -np.inf)
+        out = np.full((*x.shape[:2], oh, ow), -np.inf,
+                      np.result_type(x, float))
         for _, _, rows, cols in taps:
             np.maximum(out, xp[:, :, rows, cols], out=out)
         self._cache = (xp, out, taps) if train else None
@@ -600,7 +605,7 @@ class AvgPool3x3s2(_Pool3x3s2):
     def forward(self, x, train=False):
         check_nchw(x)
         xp, (oh, ow), taps = _windows(x, 3, 2, 1)
-        out = np.zeros((*x.shape[:2], oh, ow))
+        out = np.zeros((*x.shape[:2], oh, ow), np.result_type(x, float))
         for _, _, rows, cols in taps:
             out += xp[:, :, rows, cols]
         out /= 9.0

@@ -120,7 +120,7 @@ def _module_instances():
 
 
 def test_3_gradient_correctness():
-    """Analytic gradients against central differences: every layer kind
+    """Analytic gradients against complex-step ones: every layer kind
     (26 instances, < 1e-5) and assembled modules in all four combine/stride
     variants (20 instances, < 1e-4), within a minute."""
     t0 = time.monotonic()

@@ -173,15 +173,14 @@ class TestGradcheck:
             assert "pass" in out
 
     @pytest.mark.parametrize("mode", ["product", "addition"])
-    def test_prints_absolute_margin(self, capsys, mode):
+    def test_prints_score_at_rounding_level(self, capsys, mode):
         code, out, _ = run(capsys, "gradcheck", "--seed", "0",
                            "--combine-mode", mode)
         assert code == 0
         lines = out.splitlines()
-        assert lines[0] == "module_max_rel_err 0.000e+00"
-        name, value = lines[1].split()
-        assert name == "module_max_abs_diff" and 0 < float(value) < 1e-7
-        assert lines[2] == "pass"
+        name, value = lines[0].split()
+        assert name == "module_gradient_error" and 0 < float(value) < 1e-11
+        assert lines[1:] == ["pass"]
 
     def test_nan_weight_gradients_fail(self, capsys, monkeypatch):
         # the input gradient stays finite; every conv weight gradient is NaN
@@ -195,8 +194,7 @@ class TestGradcheck:
         monkeypatch.setattr(Conv2d, "backward", nan_weights)
         code, out, _ = run(capsys, "gradcheck", "--seed", "0")
         assert code == 1
-        assert out.splitlines() == ["module_max_rel_err nan",
-                                    "module_max_abs_diff nan", "FAIL"]
+        assert out.splitlines() == ["module_gradient_error nan", "FAIL"]
 
 
 class TestConfigFile:

@@ -1,9 +1,11 @@
-"""Analytic vs central-finite-difference gradients for every layer kind and
-for assembled modules."""
+"""Analytic vs complex-step gradients for every layer kind and for
+assembled modules, and the complex step itself against frozen central
+differences."""
 
 import collections
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from menet.layers import (
     ChannelShuffle,
     Conv2d,
     GlobalAvgPool,
+    Layer,
     Linear,
     MaxPool3x3s2,
     ReLU,
@@ -24,11 +27,18 @@ from menet.layers import (
 )
 from menet.me_module import MEModule, MEModuleConfig
 from menet.network import Network
-from menet.training import gradcheck, gradcheck_errors, numerical_gradient
+from menet.training import _complex_step as complex_step, gradcheck
 
 N_INSTANCES = 20
 LAYER_TOL = 1e-5
 MODULE_TOL = 1e-4
+# Tight bounds. Over every unit the test suite checks, the worst clean
+# score was 1.5e-15 for a bare layer and 9.6e-14 for a module or network
+# (1.4e-15 and 1.2e-13 over 100 more layer seeds and 800 more modules):
+# each bound sits ~100x or more above its worst, and ~1e5x below the 1e-6
+# of a 1e-6 relative gradient bug.
+LAYER_TIGHT = 1e-12
+MODULE_TIGHT = 1e-11
 
 
 def run_in_eval(bn):
@@ -65,13 +75,13 @@ def test_every_layer_kind(seed):
     for layer, shape in layer_cases(seed):
         x = rng.normal(size=shape)
         if isinstance(layer, ReLU):
-            # keep inputs away from the kink so finite differences are valid
+            # keep inputs away from the kink (see test_kinks_fail)
             x = np.where(np.abs(x) < 0.05, 0.5, x)
         if isinstance(layer, MaxPool3x3s2):
             # break ties so the max is differentiable
             x = x + rng.normal(0, 1e-3, size=x.shape)
         err = gradcheck(layer, x, seed=seed)
-        assert err < LAYER_TOL, f"{type(layer).__name__}: {err:.2e}"
+        assert err < LAYER_TIGHT, f"{type(layer).__name__}: {err:.2e}"
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -85,14 +95,33 @@ def test_eval_mode_bn_with_running_statistics(seed):
     bn.running_mean = rng.normal(0.0, 2.0, size=3)
     bn.running_var = rng.uniform(0.2, 4.0, size=3)
     err = gradcheck(bn, rng.normal(size=(2, 3, 4, 4)), seed=seed)
-    assert err < LAYER_TOL, f"{err:.2e}"
+    assert err < LAYER_TIGHT, f"{err:.2e}"
 
 
-def test_relu_smooth_region_tighter():
-    rng = np.random.default_rng(42)
+def test_kinks_fail():
+    # complex values compare by real part, then imaginary part, so at a
+    # ReLU input of exactly 0 and at a max-pool tie the step takes one side,
+    # a gradient of 1 where the analytic one is 0
+    rng = np.random.default_rng(0)
     x = rng.normal(size=(2, 3, 4, 4))
-    x = np.sign(x) * (np.abs(x) + 0.1)
-    assert gradcheck(ReLU(), x, seed=0) < 1e-7
+    x[0, 0, 0, 0] = 0.0
+    assert gradcheck(ReLU(), x) == pytest.approx(0.0628, abs=1e-4)
+    x = np.random.default_rng(1).normal(size=(1, 1, 6, 6))
+    x[0, 0, 1, 1:3] = 3.0   # both the max of the window at (0, 1)
+    assert gradcheck(MaxPool3x3s2(), x) == pytest.approx(0.5121, abs=1e-4)
+
+
+def test_sigmoid_overflow_is_loud():
+    # below about -755.8 the complex exp overflows in both parts (its
+    # imaginary part is exp(-x) * 1e-20), and the output is NaN
+    x = np.full((1, 1, 2, 2), -800.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="invalid value"):
+            gradcheck(Sigmoid(), x)
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert math.isnan(gradcheck(Sigmoid(), x))
+        assert gradcheck(Sigmoid(), x + 45.0) < LAYER_TIGHT
 
 
 def module_config(combine_mode, downsample):
@@ -114,7 +143,7 @@ def test_assembled_module(combine_mode, downsample):
         module = MEModule(cfg, rng=rng)
         x = rng.normal(size=(1, cfg.in_channels, 5, 5))
         worst = max(worst, gradcheck(module, x, seed=seed))
-    assert worst < MODULE_TOL, f"{combine_mode}/ds={downsample}: {worst:.2e}"
+    assert worst < MODULE_TIGHT, f"{combine_mode}/ds={downsample}: {worst:.2e}"
 
 
 def test_addition_mode_gradient_passes_both_branches():
@@ -145,14 +174,6 @@ def test_skip_path_gradient_is_grad_out():
     grad_x = module.backward(go)
     mask = out > 0
     assert np.array_equal(grad_x, np.where(mask, go, 0.0))
-
-
-def test_numerical_gradient_of_non_contiguous_array():
-    # a transposed view: each step must move the array's own element
-    arr = np.arange(12.0).reshape(3, 4).T
-    grad = numerical_gradient(lambda: float((arr ** 2).sum()), arr)
-    assert np.allclose(grad, 2 * arr, rtol=1e-8, atol=1e-6)
-    assert np.array_equal(arr, np.arange(12.0).reshape(3, 4).T)
 
 
 def running_statistics(bns):
@@ -210,11 +231,11 @@ def test_gradcheck_restores_running_statistics(monkeypatch, kind):
         eval_before = unit.forward(x, train=False)
         tracked.clear()
         if fail_at is None:
-            assert gradcheck_errors(unit, x)[0] < MODULE_TOL
+            assert gradcheck(unit, x) < MODULE_TIGHT
         else:
             unit.forward = failing_at(unit.forward, fail_at)
             with pytest.raises(FloatingPointError):
-                gradcheck_errors(unit, x)
+                gradcheck(unit, x)
             del unit.forward
         assert tracked == [], fail_at
         for bn, (mean, var), (mean0, var0) in zip(bns, arrays, before):
@@ -232,27 +253,27 @@ def test_gradcheck_restores_running_statistics(monkeypatch, kind):
 
 
 # ---------------------------------------------------------------------------
-# output reuse while a parameter is nudged
+# the complex step, and output reuse while a parameter is moved
 # ---------------------------------------------------------------------------
 
-def plain_numeric_gradients(unit, x, seed=0):
-    """The numeric gradients of ``gradcheck_errors`` (input first, then
-    every parameter), each objective re-running every layer: a frozen copy
-    of the loop from before gradcheck reused any layer output."""
-    rng = np.random.default_rng(seed)
+def probed(unit, x, seed):
+    """``x`` as float, the probe gradcheck draws, and, from a real forward
+    and a backward of that probe, the analytic gradients (input first,
+    then every parameter)."""
     x = np.array(x, dtype=float)
-    probe = None
-
-    def objective():
-        nonlocal probe
-        out = unit.forward(x, train=True)
-        if probe is None:
-            probe = rng.normal(size=out.shape)
-        return float((out * probe).sum())
-
     unit.zero_grad()
-    objective()
-    unit.backward(probe)
+    probe = np.random.default_rng(seed).normal(
+        size=unit.forward(x, train=True).shape)
+    grad_x = unit.backward(probe)
+    return x, probe, [grad_x, *(unit.grads[k] for k in unit.params)]
+
+
+def plain_numeric_gradients(unit, x, seed=0):
+    """(analytic, numeric) gradients, the numeric ones by central
+    differences with per-element step 1e-6 * (1 + |value|), each objective
+    re-running every layer: a frozen copy of the check that the complex
+    step replaced."""
+    x, probe, analytic = probed(unit, x, seed)
     result = []
     for arr in [x, *unit.params.values()]:
         grad = np.zeros_like(arr, dtype=float)
@@ -260,26 +281,62 @@ def plain_numeric_gradients(unit, x, seed=0):
             orig = arr[i]
             h = 1e-6 * (1.0 + abs(orig))
             arr[i] = orig + h
-            fp = objective()
+            fp = float((unit.forward(x, train=True) * probe).sum())
             arr[i] = orig - h
-            fm = objective()
+            fm = float((unit.forward(x, train=True) * probe).sum())
             arr[i] = orig
             grad[i] = (fp - fm) / (2 * h)
         result.append(grad)
+    return analytic, result
+
+
+def floored_relative_error(analytic, numeric):
+    """The max of |a - n| / max(|a|, |n|, 1e-8), with differences below
+    1e-7 scored 0.0: a frozen copy of the score the complex step replaced,
+    whose floor stood for central differences' resolution."""
+    return max(np.where(d < 1e-7, 0.0, d / np.maximum(
+        np.maximum(np.abs(a), np.abs(n)), 1e-8)).max()
+        for a, n in zip(analytic, numeric) for d in [np.abs(a - n)])
+
+
+def plain_complex_step_gradients(unit, x, seed=0):
+    """The numeric gradients of ``gradcheck`` (input first, then every
+    parameter), each objective re-running every layer: one complex copy of
+    the input, then each layer's parameters swapped for complex copies
+    while its steps run."""
+    x, probe, _ = probed(unit, x, seed)
+
+    def steps(arr, v):
+        grad = np.empty(arr.shape)
+        for i in np.ndindex(arr.shape):
+            arr.imag[i] = 1e-20
+            grad[i] = (unit.forward(v, train=True) * probe).sum().imag / 1e-20
+            arr.imag[i] = 0.0
+        return grad
+
+    x_step = x.astype(complex)
+    result = [steps(x_step, x_step)]
+    owners = ([unit] if isinstance(unit, Layer)
+              else unit.named_layers().values())
+    for layer in owners:
+        params = dict(layer.params)
+        layer.params.update((k, p.astype(complex)) for k, p in params.items())
+        result += [steps(layer.params[k], x) for k in params]
+        layer.params.update(params)
     return result
 
 
 def gradcheck_numeric_gradients(monkeypatch, unit, x, seed=0):
-    """The numeric gradients ``gradcheck_errors`` builds, in its order."""
+    """The numeric gradients ``gradcheck`` builds, in its order."""
     made = []
 
     def recording(f, arr):
-        made.append(numerical_gradient(f, arr))
+        made.append(complex_step(f, arr))
         return made[-1]
 
     with monkeypatch.context() as m:
-        m.setattr(training, "numerical_gradient", recording)
-        gradcheck_errors(unit, x, seed)
+        m.setattr(training, "_complex_step", recording)
+        gradcheck(unit, x, seed)
     return made
 
 
@@ -332,11 +389,51 @@ UNITS = {**{f"tiny-{i}": functools.partial(tiny_variant, i)
 @pytest.mark.parametrize("case", list(UNITS))
 def test_reuse_gives_plain_numeric_gradients(monkeypatch, case):
     # two units built alike: one for each loop
-    expected = plain_numeric_gradients(*UNITS[case]())
+    expected = plain_complex_step_gradients(*UNITS[case]())
     got = gradcheck_numeric_gradients(monkeypatch, *UNITS[case]())
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
         assert a.tobytes() == b.tobytes()
+
+
+def score(analytic, numeric):
+    """gradcheck's score of two gradient lists."""
+    return max(np.abs(a - n).max() / max(1.0, np.abs(a).max())
+               for a, n in zip(analytic, numeric))
+
+
+@pytest.mark.parametrize("i", range(4))
+def test_complex_step_agrees_with_central_differences(monkeypatch, i):
+    # within what central differences resolve, ~1e-8: their rounding
+    # error is ~1e-16 * |objective| / 1e-6, their truncation error ~1e-12
+    analytic, central = plain_numeric_gradients(*tiny_variant(i))
+    stepped = gradcheck_numeric_gradients(monkeypatch, *tiny_variant(i))
+    assert score(stepped, central) < 1e-8
+    assert score(analytic, stepped) < MODULE_TIGHT
+
+
+def scale_beta_gradients(monkeypatch, factor):
+    """Make every batch norm's backward scale its beta gradient."""
+    backward = BatchNorm2d.backward
+
+    def wrong(self, grad_out):
+        grad_x = backward(self, grad_out)
+        self.grads["beta"] *= factor
+        return grad_x
+
+    monkeypatch.setattr(BatchNorm2d, "backward", wrong)
+
+
+@pytest.mark.parametrize("i", range(4))
+def test_relative_beta_gradient_bug_fails_the_tight_bound(monkeypatch, i):
+    # a 1e-6 relative bug in every beta gradient, which central
+    # differences' floored relative error and the north star's 1e-4 pass
+    scale_beta_gradients(monkeypatch, 1 + 1e-6)
+    analytic, central = plain_numeric_gradients(*tiny_variant(i))
+    assert floored_relative_error(analytic, central) < MODULE_TOL
+    err = gradcheck(*tiny_variant(i))
+    assert err > MODULE_TIGHT
+    assert err == pytest.approx(1e-6, rel=0.05)
 
 
 def counting_forwards(monkeypatch, layers):
@@ -361,23 +458,23 @@ def test_only_layers_after_the_owner_run_again(monkeypatch):
     x = np.random.default_rng(1).normal(size=(1, 8, 5, 5))
     layers = dict(module.all_layers())
     runs = counting_forwards(monkeypatch, layers.values())
-    owned = {id(p): owner for owner in ("pw2", "bn2")
-             for p in layers[owner].params.values()}
     during = {"pw2": collections.Counter(), "bn2": collections.Counter()}
 
     def numeric(f, arr):
         before = runs.copy()
-        grad = numerical_gradient(f, arr)
-        if id(arr) in owned:
-            during[owned[id(arr)]].update(runs - before)
+        grad = complex_step(f, arr)
+        # while its loop runs, the owner holds the complex copy stepped
+        for owner, counter in during.items():
+            if any(arr is p for p in layers[owner].params.values()):
+                counter.update(runs - before)
         return grad
 
-    monkeypatch.setattr(training, "numerical_gradient", numeric)
-    gradcheck_errors(module, x)
+    monkeypatch.setattr(training, "_complex_step", numeric)
+    gradcheck(module, x)
     for owner, after, objectives in [
-            ("pw2", {"pw2", "bn2", "relu_final"}, 16),
-            ("bn2", {"pw2", "bn2", "relu_final"}, 32)]:
-        assert objectives == 2 * sum(
+            ("pw2", {"pw2", "bn2", "relu_final"}, 8),
+            ("bn2", {"pw2", "bn2", "relu_final"}, 16)]:
+        assert objectives == sum(
             p.size for p in layers[owner].params.values())
         assert {path: during[owner][id(layer)]
                 for path, layer in layers.items()} == {
@@ -394,26 +491,49 @@ def instance_entries(unit):
 
 @pytest.mark.parametrize("fail_at", [None, 3])
 def test_gradcheck_puts_every_forward_back(monkeypatch, fail_at):
+    # and every parameter: the very same arrays with the same bytes, also
+    # when an objective raises in the loop of bn2's beta, its second
+    # parameter, while both are complex copies
     module, x = module_with_eval_bn()
     before = instance_entries(module)
     assert before["bn_dw"][1] is not None
-    target = module.evolution.conv_e.params["weight"]
+    params = {k: (p, p.tobytes()) for k, p in module.params.items()}
+    bn2 = module.bn2
 
     def numeric(f, arr):
-        return numerical_gradient(
-            failing_at(f, fail_at) if arr is target else f, arr)
+        if arr is bn2.params["beta"]:
+            assert all(np.iscomplexobj(p) for p in bn2.params.values())
+            f = failing_at(f, fail_at)
+        return complex_step(f, arr)
 
-    monkeypatch.setattr(training, "numerical_gradient", numeric)
+    monkeypatch.setattr(training, "_complex_step", numeric)
     if fail_at is None:
-        gradcheck_errors(module, x)
+        gradcheck(module, x)
     else:
         with pytest.raises(FloatingPointError):
-            gradcheck_errors(module, x)
+            gradcheck(module, x)
     after = instance_entries(module)
     assert after.keys() == before.keys()
     for path, (names, forward, track) in before.items():
         assert after[path][0] == names, path
         assert after[path][1] is forward and after[path][2] is track, path
+    assert module.params.keys() == params.keys()
+    for key, (p, data) in params.items():
+        assert module.params[key] is p and p.tobytes() == data, key
+
+
+def test_a_forward_that_drops_the_imaginary_part_raises():
+    # gradcheck's own filter: ComplexWarning is a RuntimeWarning, which the
+    # test suite's settings alone would turn into an error
+    class RealReLU(ReLU):
+        def forward(self, x, train=False):
+            return super().forward(x.astype(float), train)
+
+    x = np.random.default_rng(0).normal(size=(1, 2, 3, 3))
+    with warnings.catch_warnings():
+        warnings.resetwarnings()
+        with pytest.raises(np.exceptions.ComplexWarning):
+            gradcheck(RealReLU(), x)
 
 
 # ---------------------------------------------------------------------------
@@ -469,17 +589,15 @@ def test_nan_weight_gradient_of_a_layer_fails():
     rng = np.random.default_rng(0)
     conv = Conv2d(3, 4, 3, rng=rng)
     add_to_weight_gradient(conv, np.nan, ...)
-    worst, diff = gradcheck_errors(conv, rng.normal(size=(2, 3, 5, 5)))
-    assert math.isnan(worst) and math.isnan(diff)
+    assert math.isnan(gradcheck(conv, rng.normal(size=(2, 3, 5, 5))))
 
 
 def test_one_nan_in_a_module_gradient_fails():
     rng = np.random.default_rng(0)
     module = MEModule(module_config("product", False), rng=rng)
     add_to_weight_gradient(module.pw2, np.nan)
-    worst, diff = gradcheck_errors(module, rng.normal(size=(1, 8, 5, 5)))
-    assert math.isnan(worst) and math.isnan(diff)
-    assert not worst < MODULE_TOL
+    worst = gradcheck(module, rng.normal(size=(1, 8, 5, 5)))
+    assert math.isnan(worst) and not worst < MODULE_TOL
 
 
 @pytest.mark.parametrize("kind", ["layer", "module", "network", "nested"])
@@ -495,7 +613,7 @@ def test_backward_after_gradcheck_raises(kind):
                 "network": Network([("m", module)], 8, 5, 8),
                 "nested": Chain(("inner", Chain(("m", module))))}[kind]
         x, out_shape = rng.normal(size=(1, 8, 5, 5)), (1, 8, 5, 5)
-    gradcheck_errors(unit, x)
+    gradcheck(unit, x)
     if kind != "layer":
         assert module._cache is None
         assert all(layer._cache is None for _, layer in unit.all_layers())

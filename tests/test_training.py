@@ -415,6 +415,21 @@ class TestTrainLoop:
         data = make_synthetic_dataset(count=8, size=8, classes=2, seed=0)
         assert 0.0 <= evaluate(net, data) <= 1.0
 
+    def test_epochs_past_the_schedule_rejected_before_any_step(self):
+        # 4 epochs on a 2-epoch schedule trained two epochs, then raised
+        # at the third's learning rate
+        net = build_menet(tiny_config(), seed=0)
+        data = make_synthetic_dataset(count=8, size=8, classes=2, seed=0)
+        before = {k: v.copy() for k, v in net.params.items()}
+        with pytest.raises(ValueError,
+                           match="4 epochs run past the schedule's 2"):
+            train_loop(net, data, Schedule(total_epochs=2), SGD(), epochs=4,
+                       batch_size=8)
+        for key, value in net.params.items():
+            assert value.tobytes() == before[key].tobytes(), key
+        assert len(train_loop(net, data, Schedule(total_epochs=2), SGD(),
+                              epochs=2, batch_size=8)) == 2
+
     @pytest.mark.parametrize("name,value", [
         ("epochs", True), ("epochs", 1.5), ("batch_size", True),
         ("batch_size", 2.0)])
